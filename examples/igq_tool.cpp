@@ -42,7 +42,7 @@
 //       cache-assist rate; --verify replays the stream on the sequential
 //       engine and fails on any answer divergence, --save snapshots the
 //       sharded cache afterwards. The lifecycle flags (all off by
-//       default — serving then runs the exact unbudgeted pipeline) give
+//       default — every query is then unlimited) give
 //       every query a wall-clock deadline / search-state cap and enable
 //       admission control at the given cost watermark; budgeted runs
 //       print the typed outcome counters, and --verify then only

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <sstream>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "common/timer.h"
-#include "durability/wal.h"
 #include "features/canonical.h"
+#include "igq/engine_shell.h"
 #include "igq/pruning.h"
-#include "snapshot/mutation_state.h"
-#include "snapshot/serializer.h"
-#include "snapshot/snapshot.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define IGQ_TSAN_ACTIVE 1
@@ -25,9 +23,15 @@
 namespace igq {
 namespace {
 
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
+constexpr CacheSection kShardedCacheSection{snapshot::kSectionShardedCache,
+                                           "sharded-cache"};
+
+// One §5.1 prune credit, addressed by the probe session's Hit.
+struct PendingCredit {
+  ShardedQueryCache::Hit hit;
+  uint64_t removed;
+  LogValue cost;
+};
 
 // Deadline-bounded shared acquisition of the writer gate. libstdc++ lowers
 // try_lock_until with a steady_clock deadline to pthread_rwlock_clockrdlock,
@@ -49,6 +53,24 @@ bool LockSharedUntil(std::shared_lock<std::shared_timed_mutex>& gate,
 #endif
 }
 
+// Takes the writer gate's shared side for a query. Without a deadline the
+// wait is plain — cancellation is then noticed right after acquisition
+// (mutations are short; the latency is bounded by one mutation). With one,
+// a query that cannot get past an in-flight mutation in time latches
+// kDeadline at kGateWait instead of blocking unboundedly. Returns false
+// when the query has stopped.
+bool AcquireGate(std::shared_lock<std::shared_timed_mutex>& gate,
+                 serving::QueryControl& control) {
+  control.set_stage(serving::QueryStage::kGateWait);
+  if (!control.has_deadline()) {
+    gate.lock();
+  } else if (!LockSharedUntil(gate, control.deadline())) {
+    control.CheckNow();  // latches kDeadline (or kCancelled) at kGateWait
+    return false;
+  }
+  return !control.CheckNow();
+}
+
 }  // namespace
 
 ConcurrentQueryEngine::ConcurrentQueryEngine(const GraphDatabase& db,
@@ -58,12 +80,9 @@ ConcurrentQueryEngine::ConcurrentQueryEngine(const GraphDatabase& db,
       method_(method),
       options_(ValidatedIgqOptions(options)),
       cache_(std::make_unique<ShardedQueryCache>(options_, db.graphs.size())),
+      pool_(options_.verify_threads),
       admission_(options_.serving.admission_watermark,
-                 options_.serving.admission_max_waiters) {
-  if (options_.verify_threads > 1) {
-    pool_ = std::make_unique<VerifyPool>(options_.verify_threads);
-  }
-}
+                 options_.serving.admission_max_waiters) {}
 
 ConcurrentQueryEngine::~ConcurrentQueryEngine() = default;
 
@@ -73,41 +92,54 @@ std::vector<GraphId> ConcurrentQueryEngine::RunVerification(
   auto verify = [this, &prepared](GraphId id) {
     return method_->Verify(prepared, id);
   };
-  // Borrow the shared pool only when it is free AND the candidate set is
-  // big enough for the pool to split (its own inline threshold); a busy
-  // pool means another stream is verifying — running inline then is the
-  // point of stream-level parallelism, never a stall.
-  if (pool_ != nullptr && candidates.size() >= 2 * pool_->threads()) {
+  // Borrow the shared pool only when it has workers, is free, AND the
+  // candidate set is big enough for it to split (its own inline
+  // threshold); a busy pool means another stream is verifying — running
+  // inline then is the point of stream-level parallelism, never a stall.
+  if (pool_.threads() > 1 && candidates.size() >= 2 * pool_.threads()) {
     std::unique_lock<std::mutex> borrow(pool_mutex_, std::try_to_lock);
-    if (borrow.owns_lock()) return pool_->Run(candidates, verify, control);
+    if (borrow.owns_lock()) return pool_.Run(candidates, verify, control);
   }
-  std::vector<GraphId> verified;
-  if (control == nullptr) {
-    for (GraphId id : candidates) {
-      if (verify(id)) verified.push_back(id);
-    }
-    return verified;
-  }
-  // Budgeted inline path: same discard protocol as VerifyPool's claim loop —
-  // an item whose verify finished at or after the stop is garbage.
-  for (GraphId id : candidates) {
-    if (control->stopped()) break;
-    const bool hit = verify(id);
-    if (control->stopped()) break;
-    if (hit) verified.push_back(id);
-  }
-  return verified;
+  return VerifyInline(candidates, verify, control);
 }
 
 std::vector<GraphId> ConcurrentQueryEngine::Process(const Graph& query,
                                                     QueryStats* stats) {
-  // Mutation gate, shared side: held for the query's whole lifetime so the
-  // database, method index, and cache never shift underneath it. Queries
-  // never block each other here — only an in-flight ApplyMutation does.
-  std::shared_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_);
-  // Same null-stats contract as QueryEngine::Process: a null `stats` skips
-  // all collection (no clock reads, no counter writes).
-  if (stats != nullptr) *stats = QueryStats{};
+  // A never-armed control is unlimited and reads no clock.
+  serving::QueryControl unlimited;
+  QueryResult result;
+  Execute(query, unlimited, stats != nullptr, &result);
+  if (stats != nullptr) *stats = result.stats;
+  return std::move(result.answer);
+}
+
+QueryResult ConcurrentQueryEngine::ProcessWithBudget(
+    const Graph& query, const serving::QueryRequest& request,
+    bool collect_stats) {
+  // Zero budget fields fall back to the engine's serving defaults.
+  serving::QueryBudget budget = request.budget;
+  if (budget.deadline_micros == 0) {
+    budget.deadline_micros = options_.serving.default_deadline_micros;
+  }
+  if (budget.max_states == 0) {
+    budget.max_states = options_.serving.default_max_states;
+  }
+  serving::QueryControl control;
+  control.Arm(budget, request.cancel != nullptr ? request.cancel->flag()
+                                                : nullptr);
+  QueryResult result;
+  Execute(query, control, collect_stats, &result);
+  result.outcome.elapsed_micros = control.ElapsedMicros();
+  outcomes_.Record(result.outcome);
+  return result;
+}
+
+void ConcurrentQueryEngine::Execute(const Graph& query,
+                                    serving::QueryControl& control,
+                                    bool collect_stats, QueryResult* result) {
+  // Same null-stats contract as QueryEngine: without collect_stats nothing
+  // is measured (no clock reads, no counter writes).
+  QueryStats* const stats = collect_stats ? &result->stats : nullptr;
   int64_t* const filter_sink =
       stats != nullptr ? &stats->filter_micros : nullptr;
   int64_t* const probe_sink = stats != nullptr ? &stats->probe_micros : nullptr;
@@ -115,92 +147,150 @@ std::vector<GraphId> ConcurrentQueryEngine::Process(const Graph& query,
       stats != nullptr ? &stats->verify_micros : nullptr;
   ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
 
-  if (!options_.enabled) {
-    std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-    std::vector<GraphId> candidates;
-    {
-      ScopedTimer filter_timer(filter_sink);
-      candidates = method_->Filter(*prepared);
-    }
-    std::vector<GraphId> answer;
-    {
-      ScopedTimer verify_timer(verify_sink);
-      answer = RunVerification(candidates, *prepared);
-    }
-    if (stats != nullptr) {
-      stats->candidates_initial = candidates.size();
-      stats->iso_tests = candidates.size();
-      stats->candidates_final = candidates.size();
-      stats->answer_size = answer.size();
-    }
-    return answer;
-  }
+  // Only a limited control reaches the searches, admission, and the commit
+  // deferral. An unlimited query's searches never poll it, and its stage
+  // checkpoints below never fire.
+  serving::QueryControl* const limit = control.limited() ? &control : nullptr;
 
-  cache_->RecordQueryProcessed();
-  const size_t query_nodes = query.NumVertices();
+  // A stopped query has committed nothing to the shared cache, so it leaves
+  // the cache bit-identical to one that never saw it. A stop during or
+  // after the prune stage may degrade to a cache-composed partial answer.
+  auto stop = [&](bool partial_eligible, std::vector<GraphId> partial_answer) {
+    const bool partial =
+        partial_eligible && options_.serving.degrade_to_partial;
+    result->outcome = serving::MakeStoppedOutcome(control, partial);
+    result->answer =
+        partial ? std::move(partial_answer) : std::vector<GraphId>{};
+    if (stats != nullptr) stats->answer_size = result->answer.size();
+  };
 
-  // Exact-hit fast path, BEFORE the host method's filter: an isomorphic
-  // cached query is found by one canonicalization plus one hash lookup, so
-  // a hit pays neither Prepare/Filter nor a single isomorphism test. The
+  // Stage: the mutation gate's shared side, held for the query's whole
+  // lifetime so the database, method index, and cache never shift
+  // underneath it. Queries never block each other here — only an
+  // in-flight ApplyMutation does.
+  std::shared_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_,
+                                                          std::defer_lock);
+  if (!AcquireGate(mutation_gate, control)) return stop(false, {});
+  // This thread runs the probe searches and its share of verification;
+  // VerifyPool installs the control on its borrowed workers itself.
+  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), limit);
+
+  // Stage: exact-hit fast path, BEFORE the host method's filter: an
+  // isomorphic cached query is found by one canonicalization plus one hash
+  // lookup, so a hit pays neither Prepare/Filter nor a single isomorphism
+  // test, and TryExactHit commits it (clock tick, then credit) at once. The
   // §5.1 credit diverges from the sequential engine here by design — R/C
   // accrue over the cached answer rather than a filtered candidate set the
   // fast path never computes (docs/CONCURRENCY.md, "what may differ").
+  const size_t query_nodes = query.NumVertices();
   std::string canonical;
-  {
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kFastPath);
     ScopedTimer probe_timer(probe_sink);
     canonical = GraphCanonicalCode(query);
     auto cost_of = [this, query_nodes](std::span<const GraphId> ids) {
       return SumIsomorphismCosts(*db_, method_->Direction(), query_nodes, ids);
     };
-    std::vector<GraphId> hit_answer;
-    if (cache_->TryExactHit(canonical, cost_of, &hit_answer)) {
+    if (cache_->TryExactHit(canonical, cost_of, &result->answer)) {
       if (stats != nullptr) {
         stats->shortcut = ShortcutKind::kExactHit;
-        stats->answer_size = hit_answer.size();
+        stats->answer_size = result->answer.size();
       }
-      return hit_answer;
+      return;
     }
   }
 
-  // Singleflight: concurrent streams missing on the same canonical key
-  // coalesce onto one in-flight record. The first stream to register
-  // (the leader) runs the pipeline; the rest park on the record and share
-  // the published answer. A parked stream whose leader unwound without
-  // publishing falls through and runs the pipeline itself, unregistered —
-  // correctness over coalescing.
+  // Stage: admission, for limited fast-path misses only — exact hits are
+  // always admitted, so cache hits stay cheap under overload (the shed
+  // watermark protects the expensive miss pipeline, not the O(1) lookup).
+  // The gate is DROPPED while queued: a query parked in the admission
+  // queue must not block mutations for up to its whole deadline.
+  serving::AdmissionTicket ticket;
+  if (limit != nullptr && admission_.enabled()) {
+    mutation_gate.unlock();
+    control.set_stage(serving::QueryStage::kAdmission);
+    // Cost: query size in vertices + edges, a cheap proxy for the expected
+    // filter/verify work.
+    const uint64_t cost =
+        static_cast<uint64_t>(query.NumVertices()) + query.NumEdges();
+    switch (admission_.Admit(cost, control)) {
+      case serving::AdmissionController::Result::kShed:
+        result->outcome.kind = serving::QueryOutcomeKind::kShed;
+        result->outcome.stage = serving::QueryStage::kAdmission;
+        return;
+      case serving::AdmissionController::Result::kDeadline:
+        control.CheckNow();
+        return stop(false, {});
+      case serving::AdmissionController::Result::kAdmitted:
+        break;
+    }
+    ticket = serving::AdmissionTicket(&admission_, cost);
+    if (!AcquireGate(mutation_gate, control)) return stop(false, {});
+  }
+
+  // Stage: singleflight. Concurrent streams missing on the same canonical
+  // key coalesce onto one in-flight record: the first to register (the
+  // leader) runs the pipeline, the rest park on the record — each only
+  // until its own deadline — and share the published answer. A parked
+  // stream whose leader unwound without publishing re-checks its own
+  // budget, then runs the pipeline itself, unregistered — correctness over
+  // coalescing.
   std::shared_ptr<InFlightQuery> inflight;
   bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto [it, inserted] = inflight_.try_emplace(canonical);
-    if (inserted) it->second = std::make_shared<InFlightQuery>();
-    leader = inserted;
-    inflight = it->second;
-  }
-  if (!leader) {
-    std::unique_lock<std::mutex> wait_lock(inflight->mutex);
-    inflight->cv.wait(wait_lock, [&] { return inflight->done; });
-    if (!inflight->failed) {
-      coalesced_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kCoalescedHit;
-        stats->answer_size = inflight->answer.size();
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kSingleflightWait);
+    {
+      std::lock_guard<std::mutex> lock(inflight_mutex_);
+      auto [it, inserted] = inflight_.try_emplace(canonical);
+      if (inserted) it->second = std::make_shared<InFlightQuery>();
+      leader = inserted;
+      inflight = it->second;
+    }
+    if (!leader) {
+      std::unique_lock<std::mutex> wait_lock(inflight->mutex);
+      auto published = [&] { return inflight->done; };
+      if (limit == nullptr) {
+        inflight->cv.wait(wait_lock, published);
+      } else if (control.has_deadline()) {
+        inflight->cv.wait_until(wait_lock, control.deadline(), published);
+      } else {
+        // No deadline: wake periodically to notice external cancellation.
+        while (!inflight->cv.wait_for(wait_lock, std::chrono::milliseconds(50),
+                                      published) &&
+               !control.CheckNow()) {
+        }
       }
-      return inflight->answer;
+      if (inflight->done && !inflight->failed) {
+        result->answer = inflight->answer;
+        wait_lock.unlock();
+        // A coalesced query completes here: tick its clock.
+        cache_->RecordQueryProcessed();
+        coalesced_hits_.fetch_add(1, std::memory_order_relaxed);
+        if (stats != nullptr) {
+          stats->shortcut = ShortcutKind::kCoalescedHit;
+          stats->answer_size = result->answer.size();
+        }
+        return;
+      }
+      wait_lock.unlock();
+      if (control.CheckNow()) return stop(false, {});
     }
   }
 
-  // Leader-side publish guard: on every exit — normal or unwinding — wake
-  // the parked followers (with the answer, or failed), then unregister the
-  // key. Unregistration comes last and AFTER Insert has registered the key
-  // in the cache's canonical map, so a stream arriving in any interleaving
-  // either coalesces, or fast-path-hits; it never re-runs the pipeline.
+  // Leader-side publish guard: on every exit — completed, stopped, or
+  // unwinding — wake the parked followers (with the answer, or failed),
+  // then unregister the key. Unregistration comes last and AFTER Insert has
+  // registered the key in the cache's canonical map, so a stream arriving
+  // in any interleaving either coalesces, or fast-path-hits; it never
+  // re-runs a completed pipeline. Partial answers are leader-private (a
+  // follower coalescing one would mistake a subset for the full answer), so
+  // a stopped leader publishes nothing.
   struct PublishGuard {
     ConcurrentQueryEngine* engine;
-    const std::string* key;   // null: not a leader, guard is a no-op
+    const std::string* key;  // null: not a leader, guard is a no-op
     InFlightQuery* record;
     bool published = false;
-    std::vector<GraphId> answer;
+    std::vector<GraphId> answer{};
 
     void Publish(const std::vector<GraphId>& result) {
       if (key == nullptr) return;
@@ -224,574 +314,163 @@ std::vector<GraphId> ConcurrentQueryEngine::Process(const Graph& query,
 
   pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
 
+  // Stage: host-method filtering. Stream-level parallelism is the only
+  // parallelism on this path besides the verify pool: a serving thread
+  // that spawned probe helpers per query would oversubscribe the machine
+  // under load.
   std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-
-  // Host-method filtering. Stream-level parallelism replaces the Fig. 6
-  // per-query thread split: a serving thread that spawned probe helpers per
-  // query would oversubscribe the machine under load, so parallel_probes is
-  // intentionally ignored here (docs/CONCURRENCY.md).
-  std::vector<GraphId> candidates;
-  {
-    ScopedTimer filter_timer(filter_sink);
-    candidates = method_->Filter(*prepared);
-  }
-  if (stats != nullptr) stats->candidates_initial = candidates.size();
-
-  // This thread's prune scratch; the outcome inside stays valid through
-  // verification and answer assembly (each stream thread has its own).
-  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
-  {
-    ScopedTimer probe_timer(probe_sink);
-    const PathFeatureCounts features = cache_->ExtractFeatures(query);
-    // The session holds shared locks on every shard; keep it alive through
-    // pruning (entries are read in place) and release before verification.
-    ShardedQueryCache::ProbeSession session = cache_->Probe(query, features);
-    if (stats != nullptr) {
-      stats->probe_iso_tests = session.probe_iso_tests();
-      stats->isub_hits = session.supergraph_hits().size();
-      stats->isuper_hits = session.subgraph_hits().size();
-    }
-
-    // §4.3 case 1: identical previous query — return its answer outright.
-    // Normally unreachable since the canonical fast path already checked,
-    // but a stale canonical ref (a flush raced the lookup) can miss there
-    // and land here. One crediting site, as on the fast path.
-    if (session.has_exact()) {
-      const CachedQuery& entry = session.entry(session.exact());
-      session.CreditExactHit(session.exact(), candidates.size(),
-                             SumIsomorphismCosts(*db_, method_->Direction(),
-                                                 query_nodes, candidates));
-      std::vector<GraphId> cached_answer = entry.answer.ToVector();
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kExactHit;
-        stats->candidates_final = 0;
-        stats->answer_size = cached_answer.size();
-      }
-      publish.Publish(cached_answer);
-      return cached_answer;
-    }
-
-    // The §4.4 role inversion, as in the sequential engine: the guarantee
-    // side yields answers without verification, the intersect side prunes.
-    const bool subgraph_query =
-        method_->Direction() == QueryDirection::kSubgraph;
-    const std::vector<ShardedQueryCache::Hit>& guarantee_hits =
-        subgraph_query ? session.supergraph_hits() : session.subgraph_hits();
-    const std::vector<ShardedQueryCache::Hit>& intersect_hits =
-        subgraph_query ? session.subgraph_hits() : session.supergraph_hits();
-    std::vector<const CachedQuery*> guarantee, intersect;
-    guarantee.reserve(guarantee_hits.size());
-    for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
-      guarantee.push_back(&session.entry(hit));
-    }
-    intersect.reserve(intersect_hits.size());
-    for (const ShardedQueryCache::Hit& hit : intersect_hits) {
-      intersect.push_back(&session.entry(hit));
-    }
-    PruneCandidates(
-        candidates, guarantee, intersect,
-        [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
-          const ShardedQueryCache::Hit& hit = side == PruneSide::kGuarantee
-                                                  ? guarantee_hits[index]
-                                                  : intersect_hits[index];
-          session.CreditHit(hit);
-          session.CreditPrune(hit, removed.size(),
-                              SumIsomorphismCosts(*db_, method_->Direction(),
-                                                  query_nodes, removed));
-        },
-        prune_scratch);
-  }  // session destroyed: shard locks released before verification
-  const PruneOutcome& pruned = prune_scratch.outcome;
-
-  if (stats != nullptr) {
-    stats->candidates_final = pruned.remaining.size();
-    if (pruned.empty_answer_shortcut) {
-      stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
-    }
-  }
-
-  std::vector<GraphId> verified;
-  {
-    ScopedTimer verify_timer(verify_sink);
-    verified = RunVerification(pruned.remaining, *prepared);
-  }
-  if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
-
-  // Formula (4): Answer(g) = verified ∪ (pruned guaranteed answers), via
-  // the shared assembly next to PruneCandidates.
-  std::vector<GraphId> answer;
-  AssembleAnswer(pruned, verified, prune_scratch, &answer);
-
-  if (stats != nullptr) stats->answer_size = answer.size();
-
-  // Insert (which registers the canonical key in the cache) strictly before
-  // the publish guard unregisters the in-flight record — see PublishGuard.
-  cache_->Insert(query, answer, canonical);
-  publish.Publish(answer);
-  return answer;
-}
-
-QueryResult ConcurrentQueryEngine::ProcessWithBudget(
-    const Graph& query, const serving::QueryRequest& request,
-    bool collect_stats) {
-  // Zero budget fields fall back to the engine's serving defaults.
-  serving::QueryBudget budget = request.budget;
-  if (budget.deadline_micros == 0) {
-    budget.deadline_micros = options_.serving.default_deadline_micros;
-  }
-  if (budget.max_states == 0) {
-    budget.max_states = options_.serving.default_max_states;
-  }
-  serving::QueryControl control;
-  control.Arm(budget, request.cancel != nullptr ? request.cancel->flag()
-                                                : nullptr);
-  QueryResult result;
-  if (!control.limited() && !admission_.enabled()) {
-    // Fully unlimited and no admission: run the untouched pipeline —
-    // bit-identical cache trajectory, no checkpoint beyond the free
-    // per-state counter.
-    result.answer = Process(query, collect_stats ? &result.stats : nullptr);
-    result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-    result.outcome.elapsed_micros = control.ElapsedMicros();
-    outcomes_.Record(result.outcome);
-    return result;
-  }
-  result = ProcessBudgeted(query, control, collect_stats);
-  outcomes_.Record(result.outcome);
-  return result;
-}
-
-QueryResult ConcurrentQueryEngine::ProcessBudgeted(
-    const Graph& query, serving::QueryControl& control, bool collect_stats) {
-  QueryResult result;
-  QueryStats* stats = collect_stats ? &result.stats : nullptr;
-  int64_t* const filter_sink =
-      stats != nullptr ? &stats->filter_micros : nullptr;
-  int64_t* const probe_sink = stats != nullptr ? &stats->probe_micros : nullptr;
-  int64_t* const verify_sink =
-      stats != nullptr ? &stats->verify_micros : nullptr;
-  ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
-
-  // Fills `result` with the typed rejection/partial outcome for a stopped
-  // control. All cache commits on this path are deferred, so every stopped
-  // exit leaves the shared cache bit-identical to one that never saw the
-  // query.
-  auto finish_stopped = [&](bool partial_eligible,
-                            std::vector<GraphId> partial_answer) {
-    const bool partial =
-        partial_eligible && options_.serving.degrade_to_partial;
-    result.outcome = serving::MakeStoppedOutcome(control, partial);
-    result.answer =
-        partial ? std::move(partial_answer) : std::vector<GraphId>{};
-    if (stats != nullptr) stats->answer_size = result.answer.size();
-  };
-
-  // Stage: writer-gate wait, deadline-aware. The gate is a
-  // shared_timed_mutex for exactly this: a query that cannot get past an
-  // in-flight mutation before its deadline reports kDeadlineExpired at
-  // kGateWait instead of blocking unboundedly. Without a deadline the wait
-  // is plain — cancellation is then noticed right after acquisition
-  // (mutations are short; the latency is bounded by one mutation).
-  control.set_stage(serving::QueryStage::kGateWait);
-  std::shared_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_,
-                                                          std::defer_lock);
-  if (control.has_deadline()) {
-    if (!LockSharedUntil(mutation_gate, control.deadline())) {
-      control.CheckNow();  // latches kDeadline (or kCancelled) at kGateWait
-      finish_stopped(false, {});
-      return result;
-    }
-  } else {
-    mutation_gate.lock();
-  }
-  if (control.CheckNow()) {
-    finish_stopped(false, {});
-    return result;
-  }
-
-  // The owning stream's searches (probe side and its verify share) run on
-  // this thread; VerifyPool installs the control on its borrowed workers
-  // itself.
-  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), &control);
-
-  // Admission cost: query size in vertices + edges, a cheap proxy for the
-  // expected filter/verify work.
-  const uint64_t admission_cost =
-      static_cast<uint64_t>(query.NumVertices()) + query.NumEdges();
-  serving::AdmissionTicket ticket;
-  // Runs admission control with the gate DROPPED — a query parked in the
-  // admission queue must not hold the shared gate, or it would block
-  // mutations for up to its whole deadline — then re-acquires the gate.
-  // Returns false when `result` already holds the rejection outcome.
-  auto admit = [&]() -> bool {
-    if (!admission_.enabled()) return true;
-    mutation_gate.unlock();
-    control.set_stage(serving::QueryStage::kAdmission);
-    const serving::AdmissionController::Result admitted =
-        admission_.Admit(admission_cost, control);
-    if (admitted == serving::AdmissionController::Result::kShed) {
-      result.outcome.kind = serving::QueryOutcomeKind::kShed;
-      result.outcome.stage = serving::QueryStage::kAdmission;
-      result.outcome.elapsed_micros = control.ElapsedMicros();
-      return false;
-    }
-    if (admitted == serving::AdmissionController::Result::kDeadline) {
-      control.CheckNow();
-      finish_stopped(false, {});
-      return false;
-    }
-    ticket = serving::AdmissionTicket(&admission_, admission_cost);
-    control.set_stage(serving::QueryStage::kGateWait);
-    if (control.has_deadline()) {
-      if (!LockSharedUntil(mutation_gate, control.deadline())) {
-        control.CheckNow();
-        finish_stopped(false, {});
-        return false;
-      }
-    } else {
-      mutation_gate.lock();
-    }
-    if (control.CheckNow()) {
-      finish_stopped(false, {});
-      return false;
-    }
-    return true;
-  };
-
-  if (!options_.enabled) {
-    // Cache disabled: admission, then filter + budgeted verify. A stop
-    // during verify degrades to the verified-so-far subset (still a true
-    // subset of the answer).
-    if (!admit()) return result;
-    std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-    prepared->set_control(&control);
-    control.set_stage(serving::QueryStage::kFilter);
-    std::vector<GraphId> candidates;
-    {
-      ScopedTimer filter_timer(filter_sink);
-      candidates = method_->Filter(*prepared);
-    }
-    if (control.CheckNow()) {
-      finish_stopped(false, {});
-      return result;
-    }
-    if (stats != nullptr) stats->candidates_initial = candidates.size();
-    if (control.ChargeCandidates(candidates.size())) {
-      finish_stopped(false, {});
-      return result;
-    }
-    control.set_stage(serving::QueryStage::kVerify);
-    std::vector<GraphId> verified;
-    {
-      ScopedTimer verify_timer(verify_sink);
-      verified = RunVerification(candidates, *prepared, &control);
-    }
-    if (stats != nullptr) {
-      stats->iso_tests = candidates.size();
-      stats->candidates_final = candidates.size();
-    }
-    if (control.stopped()) {
-      finish_stopped(true, std::move(verified));
-      return result;
-    }
-    result.answer = std::move(verified);
-    result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-    result.outcome.elapsed_micros = control.ElapsedMicros();
-    if (stats != nullptr) stats->answer_size = result.answer.size();
-    return result;
-  }
-
-  // NOTE: unlike the unbudgeted path, the query-counter tick
-  // (RecordQueryProcessed) is DEFERRED to each commit point below, so an
-  // aborted query advances nothing. On the fast-path hit the tick therefore
-  // lands after TryExactHit's credit instead of before the lookup — a
-  // one-step deviation of the §5.1 denominator clock, documented in
-  // docs/CONCURRENCY.md (hit/miss ordering under concurrency is already
-  // unordered across streams).
-  const size_t query_nodes = query.NumVertices();
-  control.set_stage(serving::QueryStage::kFastPath);
-  std::string canonical;
-  {
-    ScopedTimer probe_timer(probe_sink);
-    canonical = GraphCanonicalCode(query);
-    auto cost_of = [this, query_nodes](std::span<const GraphId> ids) {
-      return SumIsomorphismCosts(*db_, method_->Direction(), query_nodes, ids);
-    };
-    std::vector<GraphId> hit_answer;
-    if (cache_->TryExactHit(canonical, cost_of, &hit_answer)) {
-      cache_->RecordQueryProcessed();
-      result.answer = std::move(hit_answer);
-      result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-      result.outcome.elapsed_micros = control.ElapsedMicros();
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kExactHit;
-        stats->answer_size = result.answer.size();
-      }
-      return result;
-    }
-  }
-
-  // Fast-path miss: only now does admission apply — exact hits are always
-  // admitted, so cache hits stay cheap under overload (the shed watermark
-  // protects the expensive miss pipeline, not the O(1) lookup).
-  if (!admit()) return result;
-
-  // Singleflight, deadline-aware: a follower parks on the in-flight record
-  // only until its own deadline; a leader that aborts wakes followers with
-  // a typed outcome (InFlightQuery::leader_outcome) instead of hanging
-  // them.
-  control.set_stage(serving::QueryStage::kSingleflightWait);
-  std::shared_ptr<InFlightQuery> inflight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto [it, inserted] = inflight_.try_emplace(canonical);
-    if (inserted) it->second = std::make_shared<InFlightQuery>();
-    leader = inserted;
-    inflight = it->second;
-  }
-  if (!leader) {
-    std::unique_lock<std::mutex> wait_lock(inflight->mutex);
-    bool done = false;
-    if (control.has_deadline()) {
-      done = inflight->cv.wait_until(wait_lock, control.deadline(),
-                                     [&] { return inflight->done; });
-    } else {
-      // No deadline: wake periodically to notice external cancellation.
-      while (!(done = inflight->done)) {
-        if (inflight->cv.wait_for(wait_lock, std::chrono::milliseconds(50),
-                                  [&] { return inflight->done; })) {
-          done = true;
-          break;
-        }
-        if (control.CheckNow()) break;
-      }
-    }
-    if (done && !inflight->failed) {
-      std::vector<GraphId> shared_answer = inflight->answer;
-      wait_lock.unlock();
-      // Coalesced completion: commit this query's deferred counter tick
-      // (parity with the unbudgeted path, where every entrant ticks).
-      cache_->RecordQueryProcessed();
-      coalesced_hits_.fetch_add(1, std::memory_order_relaxed);
-      result.answer = std::move(shared_answer);
-      result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-      result.outcome.elapsed_micros = control.ElapsedMicros();
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kCoalescedHit;
-        stats->answer_size = result.answer.size();
-      }
-      return result;
-    }
-    wait_lock.unlock();
-    // Parked past the budget (done == false), or the leader aborted with a
-    // typed outcome. A follower whose own budget is spent stops here; a
-    // live one re-runs the pipeline itself, unregistered — correctness
-    // over coalescing.
-    if (control.CheckNow()) {
-      finish_stopped(false, {});
-      return result;
-    }
-  }
-
-  // Leader-side publish guard, budgeted variant: on an abort it stamps the
-  // typed outcome on the record before the wake, so followers never hang on
-  // a dead leader.
-  struct BudgetedPublishGuard {
-    ConcurrentQueryEngine* engine;
-    const std::string* key;  // null: not a leader, guard is a no-op
-    InFlightQuery* record;
-    serving::QueryControl* control;
-    bool published = false;
-    std::vector<GraphId> answer;
-
-    void Publish(const std::vector<GraphId>& result) {
-      if (key == nullptr) return;
-      answer = result;
-      published = true;
-    }
-    ~BudgetedPublishGuard() {
-      if (key == nullptr) return;
-      {
-        std::lock_guard<std::mutex> lock(record->mutex);
-        record->failed = !published;
-        if (published) {
-          record->answer = std::move(answer);
-        } else {
-          // Partial answers are leader-private (a follower coalescing one
-          // would mistake a subset for the full answer), so an aborted
-          // leader publishes only the typed outcome.
-          record->leader_outcome = serving::MakeStoppedOutcome(*control,
-                                                               false);
-        }
-        record->done = true;
-      }
-      record->cv.notify_all();
-      std::lock_guard<std::mutex> lock(engine->inflight_mutex_);
-      engine->inflight_.erase(*key);
-    }
-  };
-  BudgetedPublishGuard publish{this, leader ? &canonical : nullptr,
-                               inflight.get(), &control};
-
-  pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
-
-  std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-  prepared->set_control(&control);
-
+  prepared->set_control(limit);
   control.set_stage(serving::QueryStage::kFilter);
   std::vector<GraphId> candidates;
   {
     ScopedTimer filter_timer(filter_sink);
     candidates = method_->Filter(*prepared);
   }
-  if (control.CheckNow()) {
-    finish_stopped(false, {});
-    return result;
-  }
+  if (control.CheckNow()) return stop(false, {});
   if (stats != nullptr) stats->candidates_initial = candidates.size();
   // Memory cap: the post-filter candidate set is the query's dominant
   // allocation driver.
-  if (control.ChargeCandidates(candidates.size())) {
-    finish_stopped(false, {});
-    return result;
-  }
+  if (control.ChargeCandidates(candidates.size())) return stop(false, {});
 
-  control.set_stage(serving::QueryStage::kProbe);
-  // Deferred §5.1 credits, addressed by session Hit: buffered during prune
-  // and replayed at the commit point. Unlike the unbudgeted path the probe
-  // session therefore stays alive through verification — its shared shard
-  // locks pin the Hit positions the buffered credits reference. The
-  // extended hold is bounded by the query's budget (this path never runs
-  // unlimited) and blocks only shard-exclusive work (inserts, flush
-  // swaps), never other probes.
-  struct PendingCredit {
-    ShardedQueryCache::Hit hit;
-    uint64_t removed;
-    LogValue cost;
-  };
+  // Stage: probe + prune. The probe session holds shared locks on every
+  // shard; entries are read in place and credited through it, so it must
+  // outlive the credits. The credits are buffered during prune, and the
+  // commit sequence — clock tick, then the credits in consultation order —
+  // runs while the session lives:
+  //   * unlimited: right after prune, then the session is dropped, so no
+  //     shard lock is held through verification, the long stage;
+  //   * limited: after verification, so a stop anywhere leaves no trace.
+  //     The extended hold is bounded by the query's budget and blocks only
+  //     shard-exclusive work (inserts, flush swaps), never other probes.
+  // With the cache disabled there is no session: every candidate goes on
+  // to verification and nothing commits.
+  std::optional<ShardedQueryCache::ProbeSession> session;
   std::vector<PendingCredit> pending_credits;
-  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
-  std::vector<GraphId> answer;
-  {
-    ShardedQueryCache::ProbeSession session = [&] {
+  auto commit_credits = [&] {
+    cache_->RecordQueryProcessed();
+    for (const PendingCredit& credit : pending_credits) {
+      session->CreditHit(credit.hit);
+      session->CreditPrune(credit.hit, credit.removed, credit.cost);
+    }
+  };
+  std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
+  std::vector<const CachedQuery*> guarantee, intersect;
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kProbe);
+    {
       ScopedTimer probe_timer(probe_sink);
-      const PathFeatureCounts features = cache_->ExtractFeatures(query);
-      return cache_->Probe(query, features);
-    }();
+      session.emplace(cache_->Probe(query, cache_->ExtractFeatures(query)));
+    }
     // A stop during the probe makes its results garbage (an interrupted
     // containment search aliases to a hit/miss) — abort without facts.
-    if (control.CheckNow()) {
-      finish_stopped(false, {});
-      return result;
-    }
+    if (control.CheckNow()) return stop(false, {});
     if (stats != nullptr) {
-      stats->probe_iso_tests = session.probe_iso_tests();
-      stats->isub_hits = session.supergraph_hits().size();
-      stats->isuper_hits = session.subgraph_hits().size();
+      stats->probe_iso_tests = session->probe_iso_tests();
+      stats->isub_hits = session->supergraph_hits().size();
+      stats->isuper_hits = session->subgraph_hits().size();
     }
 
-    // Stale-canonical fallback exact hit (see Process): commit — tick plus
-    // the single crediting site — and return the cached answer.
-    if (session.has_exact()) {
+    // §4.3 case 1: identical previous query — return its answer outright.
+    // Normally unreachable since the canonical fast path already checked,
+    // but a stale canonical ref (a flush raced the lookup) can miss there
+    // and land here. The query completes: tick, then the one crediting
+    // site, as on the fast path.
+    if (session->has_exact()) {
       cache_->RecordQueryProcessed();
-      const CachedQuery& entry = session.entry(session.exact());
-      session.CreditExactHit(session.exact(), candidates.size(),
-                             SumIsomorphismCosts(*db_, method_->Direction(),
-                                                 query_nodes, candidates));
-      std::vector<GraphId> cached_answer = entry.answer.ToVector();
+      session->CreditExactHit(session->exact(), candidates.size(),
+                              SumIsomorphismCosts(*db_, method_->Direction(),
+                                                  query_nodes, candidates));
+      result->answer = session->entry(session->exact()).answer.ToVector();
       if (stats != nullptr) {
         stats->shortcut = ShortcutKind::kExactHit;
         stats->candidates_final = 0;
-        stats->answer_size = cached_answer.size();
+        stats->answer_size = result->answer.size();
       }
-      publish.Publish(cached_answer);
-      result.answer = std::move(cached_answer);
-      result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-      result.outcome.elapsed_micros = control.ElapsedMicros();
-      return result;
+      publish.Publish(result->answer);
+      return;
     }
 
+    // The §4.4 role inversion, as in the sequential engine: the guarantee
+    // side yields answers without verification, the intersect side prunes.
     const bool subgraph_query =
         method_->Direction() == QueryDirection::kSubgraph;
-    const std::vector<ShardedQueryCache::Hit>& guarantee_hits =
-        subgraph_query ? session.supergraph_hits() : session.subgraph_hits();
-    const std::vector<ShardedQueryCache::Hit>& intersect_hits =
-        subgraph_query ? session.subgraph_hits() : session.supergraph_hits();
-    {
-      ScopedTimer prune_timer(probe_sink);
-      std::vector<const CachedQuery*> guarantee, intersect;
-      guarantee.reserve(guarantee_hits.size());
-      for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
-        guarantee.push_back(&session.entry(hit));
-      }
-      intersect.reserve(intersect_hits.size());
-      for (const ShardedQueryCache::Hit& hit : intersect_hits) {
-        intersect.push_back(&session.entry(hit));
-      }
-      PruneCandidates(
-          candidates, guarantee, intersect,
-          [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
-            const ShardedQueryCache::Hit& hit = side == PruneSide::kGuarantee
-                                                    ? guarantee_hits[index]
-                                                    : intersect_hits[index];
-            // Costs are computed inside the callback (the removed span is
-            // only scratch-valid here); the credit itself is deferred.
-            pending_credits.push_back(
-                {hit, removed.size(),
-                 SumIsomorphismCosts(*db_, method_->Direction(), query_nodes,
-                                     removed)});
-          },
-          prune_scratch, &control);
+    guarantee_hits =
+        subgraph_query ? session->supergraph_hits() : session->subgraph_hits();
+    intersect_hits =
+        subgraph_query ? session->subgraph_hits() : session->supergraph_hits();
+    guarantee.reserve(guarantee_hits.size());
+    for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
+      guarantee.push_back(&session->entry(hit));
     }
-    const PruneOutcome& pruned = prune_scratch.outcome;
-    if (stats != nullptr) {
-      stats->candidates_final = pruned.remaining.size();
-      if (pruned.empty_answer_shortcut) {
-        stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
-      }
+    intersect.reserve(intersect_hits.size());
+    for (const ShardedQueryCache::Hit& hit : intersect_hits) {
+      intersect.push_back(&session->entry(hit));
     }
-    // A stop during prune: the entries consulted so far yielded true facts,
-    // so the guaranteed set is a valid partial answer (§4.3 composition).
-    if (control.stopped()) {
-      std::vector<GraphId> partial;
-      AssembleAnswer(pruned, {}, prune_scratch, &partial);
-      finish_stopped(true, std::move(partial));
-      return result;
+  }
+  // This thread's prune scratch; the outcome inside stays valid through
+  // verification and answer assembly (each stream thread has its own).
+  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
+  {
+    ScopedTimer prune_timer(probe_sink);
+    PruneCandidates(
+        candidates, guarantee, intersect,
+        [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
+          // Costs are computed here: the removed span is only scratch-valid
+          // inside the callback.
+          pending_credits.push_back(
+              {side == PruneSide::kGuarantee ? guarantee_hits[index]
+                                             : intersect_hits[index],
+               removed.size(),
+               SumIsomorphismCosts(*db_, method_->Direction(), query_nodes,
+                                   removed)});
+        },
+        prune_scratch, limit);
+  }
+  const PruneOutcome& pruned = prune_scratch.outcome;
+  if (stats != nullptr) {
+    stats->candidates_final = pruned.remaining.size();
+    if (pruned.empty_answer_shortcut) {
+      stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
     }
+  }
+  // A stop during prune: the entries consulted so far yielded true facts,
+  // so the guaranteed set is a valid partial answer (§4.3 composition).
+  if (control.stopped()) {
+    std::vector<GraphId> partial;
+    AssembleAnswer(pruned, {}, prune_scratch, &partial);
+    return stop(true, std::move(partial));
+  }
+  if (session.has_value() && limit == nullptr) {
+    commit_credits();
+    session.reset();  // shard locks released before verification
+  }
 
-    control.set_stage(serving::QueryStage::kVerify);
-    std::vector<GraphId> verified;
-    {
-      ScopedTimer verify_timer(verify_sink);
-      verified = RunVerification(pruned.remaining, *prepared, &control);
-    }
-    if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
+  // Stage: verification, then formula (4): Answer(g) = verified ∪
+  // (pruned guaranteed answers).
+  control.set_stage(serving::QueryStage::kVerify);
+  std::vector<GraphId> verified;
+  {
+    ScopedTimer verify_timer(verify_sink);
+    verified = RunVerification(pruned.remaining, *prepared, limit);
+  }
+  if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
+  AssembleAnswer(pruned, verified, prune_scratch, &result->answer);
+  if (stats != nullptr) stats->answer_size = result->answer.size();
+  // Verified ids are the trusted subset (RunVerification contract), so
+  // guaranteed ∪ verified is still a true partial answer. Never cached.
+  if (control.stopped()) return stop(true, std::move(result->answer));
 
-    AssembleAnswer(pruned, verified, prune_scratch, &answer);
-    if (stats != nullptr) stats->answer_size = answer.size();
-    if (control.stopped()) {
-      // Verified ids are the trusted subset (RunVerification contract), so
-      // guaranteed ∪ verified is still a true partial answer. Never cached.
-      finish_stopped(true, std::move(answer));
-      return result;
-    }
-
-    // Commit, still inside the session: counter tick, then the buffered
-    // credits in consultation order (the session pins their Hits).
-    cache_->RecordQueryProcessed();
-    for (const PendingCredit& credit : pending_credits) {
-      session.CreditHit(credit.hit);
-      session.CreditPrune(credit.hit, credit.removed, credit.cost);
-    }
-  }  // session destroyed: Insert below takes exclusive shard locks, which
-     // would self-deadlock against the session's shared locks.
-  cache_->Insert(query, answer, canonical);
-  publish.Publish(answer);
-  result.answer = std::move(answer);
-  result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-  result.outcome.elapsed_micros = control.ElapsedMicros();
-  return result;
+  if (!options_.enabled) return;
+  if (session.has_value()) {
+    commit_credits();
+    // Insert takes exclusive shard locks, which would self-deadlock
+    // against the session's shared locks.
+    session.reset();
+  }
+  // Insert (which registers the canonical key in the cache) strictly before
+  // the publish guard unregisters the in-flight record — see PublishGuard.
+  cache_->Insert(query, result->answer, canonical);
+  publish.Publish(result->answer);
 }
 
 std::vector<BatchResult> ConcurrentQueryEngine::ProcessConcurrent(
@@ -800,11 +479,7 @@ std::vector<BatchResult> ConcurrentQueryEngine::ProcessConcurrent(
   std::vector<BatchResult> results(queries.size());
   if (queries.empty()) return results;
   streams = std::clamp<size_t>(streams, 1, queries.size());
-
-  // A batch with an active budget or cancel flag routes every query through
-  // the lifecycle path; the default batch keeps the untouched pipeline.
-  const bool budgeted =
-      !batch.budget.Unlimited() || batch.cancel != nullptr;
+  const serving::QueryRequest request{batch.budget, batch.cancel};
 
   // Dynamic claiming: streams pull the next unprocessed query, so a stream
   // stuck on an expensive query does not strand its share of the batch.
@@ -813,20 +488,8 @@ std::vector<BatchResult> ConcurrentQueryEngine::ProcessConcurrent(
     for (;;) {
       const size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
       if (index >= queries.size()) break;
-      BatchResult& result = results[index];
-      if (budgeted) {
-        serving::QueryRequest request;
-        request.budget = batch.budget;
-        request.cancel = batch.cancel;
-        QueryResult budgeted_result =
-            ProcessWithBudget(queries[index], request, batch.collect_stats);
-        result.answer = std::move(budgeted_result.answer);
-        result.stats = budgeted_result.stats;
-        result.outcome = budgeted_result.outcome;
-      } else {
-        result.answer = Process(queries[index],
-                                batch.collect_stats ? &result.stats : nullptr);
-      }
+      results[index] =
+          ProcessWithBudget(queries[index], request, batch.collect_stats);
     }
   };
   std::vector<std::thread> workers;
@@ -839,234 +502,37 @@ std::vector<BatchResult> ConcurrentQueryEngine::ProcessConcurrent(
 
 bool ConcurrentQueryEngine::SaveSnapshot(std::ostream& out,
                                          std::string* error) const {
-  snapshot::WriteSnapshotHeader(out);
-
-  std::ostringstream cache_payload;
-  {
-    snapshot::BinaryWriter writer(cache_payload);
-    cache_->Save(writer, db_->graphs.size(),
-                 snapshot::DatasetFingerprint(db_->graphs));
-    if (!writer.ok()) {
-      SetError(error, "failed to serialize sharded cache state");
-      return false;
-    }
-  }
-  snapshot::WriteSection(out, snapshot::kSectionShardedCache,
-                         std::move(cache_payload).str());
-
-  // The method index rides along when the method supports persistence; the
-  // method name prefixes the payload so a mismatched load is caught early.
-  std::ostringstream index_payload;
-  {
-    snapshot::BinaryWriter writer(index_payload);
-    writer.WriteString(method_->Name());
-  }
-  if (method_->SaveIndex(index_payload)) {
-    snapshot::WriteSection(out, snapshot::kSectionMethodIndex,
-                           std::move(index_payload).str());
-  }
-
-  // Mutation state rides along once the dataset has ever mutated (see
-  // QueryEngine::SaveSnapshot).
-  if (db_->mutation_epoch != 0) {
-    std::ostringstream mutation_payload;
-    snapshot::BinaryWriter writer(mutation_payload);
-    snapshot::WriteMutationState(writer, *db_);
-    snapshot::WriteSection(out, snapshot::kSectionMutationState,
-                           std::move(mutation_payload).str());
-  }
-
-  snapshot::WriteSnapshotEnd(out);
-  if (!out.good()) {
-    SetError(error, "stream failure while writing snapshot");
-    return false;
-  }
-  return true;
+  return SaveEngineSnapshot(out, *db_, *method_, *cache_,
+                            kShardedCacheSection, error);
 }
 
 bool ConcurrentQueryEngine::LoadSnapshot(std::istream& in, std::string* error,
                                          SnapshotLoadInfo* info) {
-  if (info != nullptr) *info = SnapshotLoadInfo{};
-  // Failure classification mirrors QueryEngine::LoadSnapshot.
-  snapshot::SnapshotErrorKind kind = snapshot::SnapshotErrorKind::kNone;
-  auto classify = [&](snapshot::SnapshotErrorKind value) {
-    if (info != nullptr) info->error_kind = value;
-    return false;
-  };
-  if (!snapshot::ReadSnapshotHeader(in, error, &kind)) return classify(kind);
-
-  // Decode and checksum-verify every section before touching engine state,
-  // so a file corrupted anywhere is rejected without side effects.
-  std::string cache_payload, index_payload, mutation_payload;
-  bool have_cache = false, have_index = false, have_mutation = false;
-  for (;;) {
-    snapshot::Section section;
-    if (!snapshot::ReadSection(in, &section, error, &kind)) {
-      return classify(kind);
-    }
-    if (section.id == snapshot::kSectionEnd) break;
-    if (section.id == snapshot::kSectionShardedCache) {
-      cache_payload = std::move(section.payload);
-      have_cache = true;
-    } else if (section.id == snapshot::kSectionMethodIndex) {
-      index_payload = std::move(section.payload);
-      have_index = true;
-    } else if (section.id == snapshot::kSectionMutationState) {
-      mutation_payload = std::move(section.payload);
-      have_mutation = true;
-    }
-    // Unknown section ids — including kSectionCache, a *sequential* cache
-    // snapshot whose geometry cannot match a sharded cache — are skipped:
-    // they are checksum-verified data, not corruption.
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    SetError(error, "corrupt snapshot: trailing bytes after the end marker");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-  if (!have_cache) {
-    SetError(error, "snapshot has no sharded-cache section");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-
-  // Mutation-state validation (validate-don't-apply, see
-  // QueryEngine::LoadSnapshot): the section must match the database's
-  // current tombstones and epoch; its absence requires a never-mutated
-  // database.
-  uint64_t mutation_epoch = 0;
-  size_t num_tombstones = 0;
-  if (have_mutation) {
-    const uint64_t mutation_payload_size = mutation_payload.size();
-    std::istringstream mutation_stream(std::move(mutation_payload));
-    snapshot::BinaryReader mutation_reader(mutation_stream);
-    // Length fields inside the section cannot claim more than the section
-    // itself holds — forged counts fail before allocating.
-    mutation_reader.LimitRemainingBytes(mutation_payload_size);
-    if (!snapshot::ValidateMutationState(mutation_reader, *db_,
-                                         &mutation_epoch, &num_tombstones,
-                                         error, &kind)) {
-      return classify(kind);
-    }
-    if (mutation_stream.peek() != std::char_traits<char>::eof()) {
-      SetError(error,
-               "corrupt snapshot: unread bytes in the mutation-state section");
-      return classify(snapshot::SnapshotErrorKind::kCorrupt);
-    }
-  } else if (db_->mutation_epoch != 0) {
-    SetError(error,
-             "snapshot carries no mutation state but the database has "
-             "mutated since construction");
-    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-  }
-
-  // Validate the method-index framing before committing any state.
-  std::istringstream index_stream(std::move(index_payload));
-  if (have_index) {
-    std::string method_name;
-    {
-      snapshot::BinaryReader name_reader(index_stream);
-      if (!name_reader.ReadString(&method_name)) {
-        SetError(error, "method-index section is malformed");
-        return classify(snapshot::SnapshotErrorKind::kCorrupt);
-      }
-    }
-    if (method_name != method_->Name()) {
-      SetError(error, "snapshot index was built by method '" + method_name +
-                          "', engine runs '" + method_->Name() + "'");
-      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-    }
-  }
-
-  // Load into a fresh cache object and swap it in only after the method
-  // index (if any) also loads, so every failure path leaves the engine —
-  // cache and method alike — exactly as it was.
   auto fresh_cache =
       std::make_unique<ShardedQueryCache>(options_, db_->graphs.size());
-  const uint64_t cache_payload_size = cache_payload.size();
-  std::istringstream cache_stream(std::move(cache_payload));
-  snapshot::BinaryReader cache_reader(cache_stream);
-  // Same forged-length arming as the mutation section above.
-  cache_reader.LimitRemainingBytes(cache_payload_size);
-  if (!fresh_cache->Load(cache_reader, db_->graphs.size(),
-                         snapshot::DatasetFingerprint(db_->graphs))) {
-    SetError(error,
-             "sharded-cache section rejected (malformed, saved under "
-             "different iGQ options — including cache_shards — or over a "
-             "different dataset)");
-    // The payload passed its checksum, so the bytes are as written — the
-    // mismatch is with this engine's dataset or configuration.
-    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache,
+                          kShardedCacheSection, error, info)) {
+    return false;
   }
-  if (cache_stream.peek() != std::char_traits<char>::eof()) {
-    SetError(error, "corrupt snapshot: unread bytes in the cache section");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-
-  if (have_index) {
-    if (!method_->LoadIndex(*db_, index_stream)) {
-      SetError(error, "method '" + method_->Name() +
-                          "' rejected its index payload (incompatible "
-                          "configuration or malformed bytes)");
-      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-    }
-    if (index_stream.peek() != std::char_traits<char>::eof()) {
-      SetError(error,
-               "corrupt snapshot: unread bytes in the method-index section");
-      return classify(snapshot::SnapshotErrorKind::kCorrupt);
-    }
-    if (info != nullptr) info->method_index_restored = true;
-  }
-
   // Snapshots carry compacted answers (no entry references a tombstoned
   // dataset graph), so the restored cache's dead set restarts from the
   // database's tombstones — future removals extend it from there.
   fresh_cache->SeedDeadIds(db_->tombstones, db_->graphs.size());
   cache_ = std::move(fresh_cache);
-  if (info != nullptr) {
-    info->cached_queries = cache_->size();
-    info->mutation_epoch = mutation_epoch;
-    info->tombstones = num_tombstones;
-  }
   return true;
 }
 
 MutationResult ConcurrentQueryEngine::ApplyMutation(
     GraphDatabase& db, const GraphMutation& mutation) {
-  MutationResult result;
-  if (&db != db_) return result;  // not the database this engine serves
+  if (&db != db_) return {};  // not the database this engine serves
   // Writer side of the mutation gate: waits for in-flight queries to drain
   // and blocks new ones for the duration of the mutation, which is what
   // makes the db.graphs reallocation (and the method's index surgery)
-  // safe — see the header and docs/CONCURRENCY.md.
+  // safe — see the header and docs/CONCURRENCY.md. The WAL append sits
+  // inside the exclusive section too: the gate is what serializes WAL
+  // writes, so record order on disk IS apply order.
   std::unique_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_);
-  // The no-op check runs BEFORE the WAL append, so every logged record is
-  // exactly one epoch increment (see QueryEngine::ApplyMutation). The
-  // append itself sits inside the exclusive section: the gate is what
-  // serializes WAL writes, so record order on disk IS apply order.
-  if (mutation.kind == MutationKind::kRemoveGraph) {
-    result.id = mutation.id;
-    if (!db.IsLive(mutation.id)) return result;  // no-op: never logged
-  }
-  if (wal_ != nullptr &&
-      !wal_->Append(mutation, db.mutation_epoch + 1, &result.wal_sequence)) {
-    result.wal_failed = true;
-    return result;
-  }
-  if (mutation.kind == MutationKind::kAddGraph) {
-    result.id = db.AddGraph(mutation.graph);
-    result.applied = true;
-    result.incremental = method_->OnAddGraph(db, result.id);
-    if (!result.incremental) method_->Build(db);
-    cache_->ApplyGraphAdded(db.graphs[result.id], result.id,
-                            method_->Direction());
-  } else {
-    db.RemoveGraph(mutation.id);  // cannot fail: IsLive held above
-    result.applied = true;
-    result.incremental = method_->OnRemoveGraph(db, mutation.id);
-    if (!result.incremental) method_->Build(db);
-    cache_->ApplyGraphRemoved(mutation.id);
-  }
-  result.epoch = db.mutation_epoch;
-  return result;
+  return ApplyEngineMutation(db, *method_, *cache_, wal_, mutation);
 }
 
 }  // namespace igq

@@ -66,23 +66,25 @@ class ConcurrentQueryEngine {
   ConcurrentQueryEngine(const ConcurrentQueryEngine&) = delete;
   ConcurrentQueryEngine& operator=(const ConcurrentQueryEngine&) = delete;
 
-  /// Executes one query end-to-end against the shared cache and returns
-  /// the sorted ids of all related dataset graphs. Thread-safe — this is
-  /// the per-stream entry point. A null `stats` skips stats collection
-  /// entirely, as in QueryEngine::Process.
+  /// Executes one query end-to-end against the shared cache as an unlimited
+  /// request (no admission) and returns the sorted ids of all related
+  /// dataset graphs. Thread-safe — this is the per-stream entry point. A
+  /// null `stats` skips stats collection entirely, as in
+  /// QueryEngine::Process.
   std::vector<GraphId> Process(const Graph& query, QueryStats* stats = nullptr);
 
   /// Budgeted execution under the serving lifecycle (serving/budget.h):
-  /// deadline-aware writer-gate and singleflight waits, admission control
-  /// (when IgqOptions::ServingOptions::admission_watermark is nonzero),
+  /// the engine's one pipeline with deadline-aware writer-gate and
+  /// singleflight waits, admission control (when
+  /// IgqOptions::ServingOptions::admission_watermark is nonzero),
   /// cooperative cancellation through every stage, and the degradation
   /// ladder — full answer, cache-composed partial answer (kPartial, a true
   /// subset, never cached), or a typed rejection. Exact-hit fast-path
   /// lookups bypass admission entirely, so cache hits stay cheap under
-  /// overload. A query stopped mid-pipeline commits NOTHING to the shared
-  /// cache; a fully unlimited request (and admission disabled) runs the
-  /// plain Process pipeline and reports kCompleted. Thread-safe like
-  /// Process.
+  /// overload. A limited query defers its commits to completion, so one
+  /// stopped mid-pipeline commits NOTHING to the shared cache; a request
+  /// left unlimited behaves exactly like Process and reports kCompleted.
+  /// Thread-safe like Process.
   QueryResult ProcessWithBudget(const Graph& query,
                                 const serving::QueryRequest& request,
                                 bool collect_stats = false);
@@ -99,10 +101,12 @@ class ConcurrentQueryEngine {
 
   /// Multiplexes `queries` over `streams` concurrently executing client
   /// streams (the calling thread participates, so `streams` is the total;
-  /// clamped to [1, queries.size()]). Queries are claimed dynamically, so
-  /// uneven query costs still balance. Results arrive in input order;
-  /// answers are identical to processing the batch on the sequential
-  /// engine. Reentrant — but nested calls share the same cache and pool.
+  /// clamped to [1, queries.size()]), each query a ProcessWithBudget
+  /// request carrying the batch's budget and cancel flag. Queries are
+  /// claimed dynamically, so uneven query costs still balance. Results
+  /// arrive in input order; completed answers are identical to processing
+  /// the batch on the sequential engine. Reentrant — but nested calls share
+  /// the same cache and pool.
   std::vector<BatchResult> ProcessConcurrent(std::span<const Graph> queries,
                                              size_t streams,
                                              const BatchOptions& batch = {});
@@ -177,44 +181,43 @@ class ConcurrentQueryEngine {
   /// Singleflight record for one canonical key being computed. The leader —
   /// the stream that inserted the record — runs the pipeline and publishes
   /// its answer here; followers park on `cv`. `failed` marks a leader that
-  /// unwound without publishing: followers then run the pipeline themselves
-  /// instead of propagating a missing answer. A *budgeted* leader that
-  /// aborts additionally records why in `leader_outcome` before the wake,
-  /// so parked followers see a typed outcome instead of hanging (they then
-  /// re-check their own budget and either stop or re-run unregistered).
+  /// stopped or unwound without publishing: followers are woken all the
+  /// same — they never hang on a dead leader — re-check their own budget,
+  /// and either stop or run the pipeline themselves, unregistered.
   struct InFlightQuery {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
     bool failed = false;
     std::vector<GraphId> answer;
-    serving::QueryOutcome leader_outcome;
   };
 
-  /// Verification over `candidates`: borrows the shared pool when it is
-  /// free and the set is big enough to split, else runs inline. `control`
-  /// (null on the unbudgeted path) propagates cancellation into the
-  /// workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
+  /// Verification over `candidates`: borrows the shared pool when it has
+  /// workers, is free, and the set is big enough to split, else runs
+  /// inline. `control` (null for an unlimited query) propagates
+  /// cancellation into the workers; on a stopped control the result is the
+  /// trusted subset (VerifyPool::Run contract).
   std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
                                        const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr);
+                                       serving::QueryControl* control);
 
-  /// The budgeted pipeline behind ProcessWithBudget: deadline-aware gate
-  /// acquisition, admission, timed singleflight wait, stage checkpoints,
-  /// deferred cache commits, and the degradation ladder. `control` must be
-  /// armed; the unbudgeted Process body stays untouched.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind every entry point: writer gate, exact-hit
+  /// fast path, admission, singleflight, filter, probe + prune, verify,
+  /// commit, with a stage checkpoint after each stage and the degradation
+  /// ladder on a stop. `control` may be unlimited (never armed, as for
+  /// Process, or armed from an unlimited request): no checkpoint fires,
+  /// admission is skipped, and the commit is applied as the query goes.
+  /// Fills `result`'s answer, outcome (except elapsed time), and — with
+  /// `collect_stats` — stats.
+  void Execute(const Graph& query, serving::QueryControl& control,
+               bool collect_stats, QueryResult* result);
 
   const GraphDatabase* db_;
   Method* method_;
   IgqOptions options_;
   std::unique_ptr<ShardedQueryCache> cache_;
-  std::unique_ptr<VerifyPool> pool_;  // null when verify_threads == 1
-  std::mutex pool_mutex_;             // arbitrates pool borrowing
+  VerifyPool pool_;        // no workers when verify_threads == 1
+  std::mutex pool_mutex_;  // arbitrates pool borrowing
   /// Singleflight table: canonical key -> in-flight record. A key is
   /// present only while its leader runs; the leader erases it after
   /// publishing, and by then the key is already hittable in the cache
@@ -229,7 +232,7 @@ class ConcurrentQueryEngine {
   /// whole lifetime, exclusive in ApplyMutation. Queries therefore never
   /// observe a half-applied mutation, and the database/method/cache reads
   /// all over the query path need no per-access synchronization. A *timed*
-  /// shared mutex so the budgeted path can bound its wait
+  /// shared mutex so a query with a deadline can bound its wait
   /// (try_lock_shared_until against the query deadline) and report a typed
   /// kGateWait timeout instead of blocking behind a long mutation.
   std::shared_timed_mutex mutation_mutex_;

@@ -1,23 +1,23 @@
 #include "igq/engine.h"
 
-#include <algorithm>
-#include <sstream>
-#include <thread>
+#include <utility>
 
 #include "common/timer.h"
-#include "durability/wal.h"
 #include "features/canonical.h"
+#include "igq/engine_shell.h"
 #include "igq/pruning.h"
-#include "snapshot/mutation_state.h"
-#include "snapshot/serializer.h"
-#include "snapshot/snapshot.h"
 
 namespace igq {
 namespace {
 
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
+constexpr CacheSection kCacheSection{snapshot::kSectionCache, "cache"};
+
+// One §5.1 prune credit, buffered until the query commits.
+struct PendingCredit {
+  size_t position;
+  uint64_t removed;
+  LogValue cost;
+};
 
 }  // namespace
 
@@ -26,205 +26,19 @@ QueryEngine::QueryEngine(const GraphDatabase& db, Method* method,
     : db_(&db),
       method_(method),
       options_(ValidatedIgqOptions(options)),
-      cache_(std::make_unique<QueryCache>(options_, db.graphs.size())) {
-  if (options_.verify_threads > 1) {
-    pool_ = std::make_unique<VerifyPool>(options_.verify_threads);
-  }
-}
+      cache_(std::make_unique<QueryCache>(options_, db.graphs.size())),
+      pool_(options_.verify_threads) {}
 
 QueryEngine::~QueryEngine() = default;
 
-std::vector<GraphId> QueryEngine::RunVerification(
-    const std::vector<GraphId>& candidates, const PreparedQuery& prepared,
-    serving::QueryControl* control) const {
-  auto verify = [this, &prepared](GraphId id) {
-    return method_->Verify(prepared, id);
-  };
-  if (pool_ != nullptr) return pool_->Run(candidates, verify, control);
-  if (control == nullptr) {
-    std::vector<GraphId> verified;
-    for (GraphId id : candidates) {
-      if (verify(id)) verified.push_back(id);
-    }
-    return verified;
-  }
-  // Inline budgeted loop, mirroring VerifyPool's cancellable claim loop: a
-  // result finishing at or after the stop is garbage (interrupted search)
-  // and is discarded, so the returned ids are a trusted subset.
-  std::vector<GraphId> verified;
-  for (GraphId id : candidates) {
-    if (control->stopped()) break;
-    const bool hit = verify(id);
-    if (control->stopped()) break;
-    if (hit) verified.push_back(id);
-  }
-  return verified;
-}
-
 std::vector<GraphId> QueryEngine::Process(const Graph& query,
                                           QueryStats* stats) {
-  // stats == nullptr asks for NO stats collection (BatchOptions doc): every
-  // stat write below is guarded and every ScopedTimer gets a null sink,
-  // which skips its clock reads entirely.
-  if (stats != nullptr) *stats = QueryStats{};
-  int64_t* const filter_sink = stats != nullptr ? &stats->filter_micros : nullptr;
-  int64_t* const probe_sink = stats != nullptr ? &stats->probe_micros : nullptr;
-  int64_t* const verify_sink = stats != nullptr ? &stats->verify_micros : nullptr;
-  ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
-
-  std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-
-  // Stage 1+2 (Fig. 6): host-method filtering and the cache lookup —
-  // optionally on separate threads, as in the paper's three-way parallelism.
-  // The lookup tries the canonical-key exact-hit fast path first: one hash
-  // probe of the key map. Only on a key miss does the feature extraction +
-  // index probe run — an exact hit therefore performs zero isomorphism
-  // tests. The filter still runs either way: its candidate count feeds the
-  // §5.1 exact-hit credit below, which keeps eviction trajectories (and the
-  // fig09/fig15 cells) identical to the pre-key isomorphism path.
-  std::vector<GraphId> candidates;
-  CacheProbe probe;
-  std::string canonical;
-  size_t exact_position = SIZE_MAX;
-  auto cache_lookup = [&] {
-    canonical = GraphCanonicalCode(query);
-    exact_position = cache_->FindExactByKey(canonical);
-    if (exact_position == SIZE_MAX) {
-      const PathFeatureCounts features = cache_->ExtractFeatures(query);
-      probe = cache_->Probe(query, features);
-    }
-  };
-  if (!options_.enabled) {
-    ScopedTimer filter_timer(filter_sink);
-    candidates = method_->Filter(*prepared);
-  } else if (options_.parallel_probes) {
-    std::thread filter_thread([&] {
-      ScopedTimer filter_timer(filter_sink);
-      candidates = method_->Filter(*prepared);
-    });
-    {
-      ScopedTimer probe_timer(probe_sink);
-      cache_lookup();
-    }
-    filter_thread.join();
-  } else {
-    {
-      ScopedTimer filter_timer(filter_sink);
-      candidates = method_->Filter(*prepared);
-    }
-    ScopedTimer probe_timer(probe_sink);
-    cache_lookup();
-  }
-  if (stats != nullptr) {
-    stats->candidates_initial = candidates.size();
-    stats->probe_iso_tests = probe.probe_iso_tests;
-    stats->isub_hits = probe.supergraph_positions.size();
-    stats->isuper_hits = probe.subgraph_positions.size();
-  }
-
-  if (!options_.enabled) {
-    std::vector<GraphId> answer;
-    {
-      ScopedTimer verify_timer(verify_sink);
-      answer = RunVerification(candidates, *prepared);
-    }
-    if (stats != nullptr) {
-      stats->iso_tests = candidates.size();
-      stats->candidates_final = candidates.size();
-      stats->answer_size = answer.size();
-    }
-    return answer;
-  }
-
-  cache_->RecordQueryProcessed();
-  const size_t query_nodes = query.NumVertices();
-
-  // §4.3 case 1: identical (isomorphic) previous query — return its answer
-  // outright. The canonical key found it above in one hash lookup; the probe
-  // fallback covers only the key map and probe disagreeing, which the
-  // canonicalization test suite rules out (the key map holds exactly the
-  // flushed entries the probe scans).
-  if (exact_position == SIZE_MAX) exact_position = probe.exact_position;
-  if (exact_position != SIZE_MAX) {
-    const CachedQuery& entry = cache_->entries()[exact_position];
-    cache_->CreditExactHit(exact_position, candidates.size(),
-                           SumIsomorphismCosts(*db_, method_->Direction(),
-                                               query_nodes, candidates));
-    if (stats != nullptr) {
-      stats->shortcut = ShortcutKind::kExactHit;
-      stats->candidates_final = 0;
-      stats->answer_size = entry.answer.size();
-    }
-    return entry.answer.ToVector();
-  }
-
-  // The §4.4 role inversion. For subgraph queries, cached *supergraphs* of g
-  // yield guaranteed answers (formulas (3)/(4)) and cached *subgraphs*
-  // intersect the candidate set (formula (5)). For supergraph queries the
-  // roles swap: cached subgraphs G ⊆ g guarantee (Gi ⊆ G ⊆ g), cached
-  // supergraphs g ⊆ G intersect (Gi ⊆ g implies Gi ⊆ G).
-  const bool subgraph_query =
-      method_->Direction() == QueryDirection::kSubgraph;
-  const std::vector<size_t>& guarantee_positions =
-      subgraph_query ? probe.supergraph_positions : probe.subgraph_positions;
-  const std::vector<size_t>& intersect_positions =
-      subgraph_query ? probe.subgraph_positions : probe.supergraph_positions;
-
-  // The prune scratch (and the outcome inside it) is this thread's; it
-  // stays valid through verification and answer assembly below.
-  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
-  {
-    ScopedTimer prune_timer(probe_sink);
-    std::vector<const CachedQuery*> guarantee, intersect;
-    guarantee.reserve(guarantee_positions.size());
-    for (size_t position : guarantee_positions) {
-      guarantee.push_back(&cache_->entries()[position]);
-    }
-    intersect.reserve(intersect_positions.size());
-    for (size_t position : intersect_positions) {
-      intersect.push_back(&cache_->entries()[position]);
-    }
-    PruneCandidates(
-        candidates, guarantee, intersect,
-        [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
-          const size_t position = side == PruneSide::kGuarantee
-                                      ? guarantee_positions[index]
-                                      : intersect_positions[index];
-          cache_->CreditHit(position);
-          cache_->CreditPrune(position, removed.size(),
-                              SumIsomorphismCosts(*db_, method_->Direction(),
-                                                  query_nodes, removed));
-        },
-        prune_scratch);
-  }  // prune_timer scope
-  const PruneOutcome& pruned = prune_scratch.outcome;
-
-  if (stats != nullptr) {
-    stats->candidates_final = pruned.remaining.size();
-    if (pruned.empty_answer_shortcut) {
-      stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
-    }
-  }
-
-  std::vector<GraphId> verified;
-  {
-    ScopedTimer verify_timer(verify_sink);
-    verified = RunVerification(pruned.remaining, *prepared);
-  }
-  if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
-
-  // Formula (4): Answer(g) = verified ∪ (pruned guaranteed answers), via
-  // the shared assembly next to PruneCandidates.
-  std::vector<GraphId> answer;
-  AssembleAnswer(pruned, verified, prune_scratch, &answer);
-
-  if (stats != nullptr) stats->answer_size = answer.size();
-
-  // Stage 6-8 (Fig. 6): store the executed query; maintenance (window flush
-  // + shadow rebuild) is timed inside the cache, off the query path. The
-  // canonical key was already computed for the fast-path lookup.
-  cache_->Insert(query, answer, std::move(canonical));
-  return answer;
+  // A never-armed control is unlimited and reads no clock.
+  serving::QueryControl unlimited;
+  QueryResult result;
+  Execute(query, unlimited, stats != nullptr, &result);
+  if (stats != nullptr) *stats = result.stats;
+  return std::move(result.answer);
 }
 
 QueryResult QueryEngine::ProcessWithBudget(const Graph& query,
@@ -242,25 +56,17 @@ QueryResult QueryEngine::ProcessWithBudget(const Graph& query,
   control.Arm(budget, request.cancel != nullptr ? request.cancel->flag()
                                                 : nullptr);
   QueryResult result;
-  if (!control.limited()) {
-    // Fully unlimited: run the untouched pipeline — bit-identical cache
-    // trajectory, no checkpoint beyond the free per-state counter.
-    result.answer = Process(query, collect_stats ? &result.stats : nullptr);
-    result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-    result.outcome.elapsed_micros = control.ElapsedMicros();
-    outcomes_.Record(result.outcome);
-    return result;
-  }
-  result = ProcessBudgeted(query, control, collect_stats);
+  Execute(query, control, collect_stats, &result);
+  result.outcome.elapsed_micros = control.ElapsedMicros();
   outcomes_.Record(result.outcome);
   return result;
 }
 
-QueryResult QueryEngine::ProcessBudgeted(const Graph& query,
-                                         serving::QueryControl& control,
-                                         bool collect_stats) {
-  QueryResult result;
-  QueryStats* stats = collect_stats ? &result.stats : nullptr;
+void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
+                          bool collect_stats, QueryResult* result) {
+  // Without collect_stats every stat write below is skipped and every
+  // ScopedTimer gets a null sink, which skips its clock reads entirely.
+  QueryStats* const stats = collect_stats ? &result->stats : nullptr;
   int64_t* const filter_sink =
       stats != nullptr ? &stats->filter_micros : nullptr;
   int64_t* const probe_sink = stats != nullptr ? &stats->probe_micros : nullptr;
@@ -268,112 +74,99 @@ QueryResult QueryEngine::ProcessBudgeted(const Graph& query,
       stats != nullptr ? &stats->verify_micros : nullptr;
   ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
 
-  // The owning stream's thread runs the probe and (part of) the verify
-  // searches: install the control so the amortized match-core checkpoint
-  // covers them. VerifyPool installs it on its borrowed workers itself.
-  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), &control);
-
+  // Only a limited control reaches the searches. An unlimited query's
+  // searches never poll it, and its stage checkpoints below never fire.
+  serving::QueryControl* const limit = control.limited() ? &control : nullptr;
+  // This thread runs the probe searches and the inline verification;
+  // VerifyPool installs the control on its own workers.
+  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), limit);
   std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-  prepared->set_control(&control);
+  prepared->set_control(limit);
 
-  auto stopped_result = [&](bool partial_eligible,
-                            std::vector<GraphId> partial_answer) {
+  // A stopped query commits nothing (no tick, no credit, no insertion), so
+  // the cache stays bit-identical to one that never saw it. A stop during
+  // or after the prune stage may degrade to a cache-composed partial answer.
+  auto stop = [&](bool partial_eligible, std::vector<GraphId> partial_answer) {
     const bool partial =
         partial_eligible && options_.serving.degrade_to_partial;
-    result.outcome = serving::MakeStoppedOutcome(control, partial);
-    result.answer = partial ? std::move(partial_answer)
-                            : std::vector<GraphId>{};
-    if (stats != nullptr) stats->answer_size = result.answer.size();
-    return std::move(result);
+    result->outcome = serving::MakeStoppedOutcome(control, partial);
+    result->answer = partial ? std::move(partial_answer)
+                             : std::vector<GraphId>{};
+    if (stats != nullptr) stats->answer_size = result->answer.size();
   };
 
-  // Stage: filter. Budgeted queries run filter and cache lookup
-  // sequentially — the Fig. 6 probe thread is a throughput feature, and a
-  // second thread would need its own control installation for no latency
-  // win under a deadline this short.
+  // Stage 1 (Fig. 6): host-method filtering.
   control.set_stage(serving::QueryStage::kFilter);
   std::vector<GraphId> candidates;
   {
     ScopedTimer filter_timer(filter_sink);
     candidates = method_->Filter(*prepared);
   }
-  if (control.CheckNow()) return stopped_result(false, {});
+  if (control.CheckNow()) return stop(false, {});
   if (stats != nullptr) stats->candidates_initial = candidates.size();
   // Memory cap: the post-filter candidate set is the query's dominant
   // allocation driver, so the cap is enforced here, before pruning and
   // verification fan out over it.
-  if (control.ChargeCandidates(candidates.size())) {
-    return stopped_result(false, {});
-  }
+  if (control.ChargeCandidates(candidates.size())) return stop(false, {});
 
-  if (!options_.enabled) {
-    // Cache disabled: filter + budgeted verify only. A stop degrades to
-    // the verified-so-far subset (still a true subset of the answer).
-    control.set_stage(serving::QueryStage::kVerify);
-    std::vector<GraphId> verified;
-    {
-      ScopedTimer verify_timer(verify_sink);
-      verified = RunVerification(candidates, *prepared, &control);
-    }
-    if (stats != nullptr) {
-      stats->iso_tests = candidates.size();
-      stats->candidates_final = candidates.size();
-    }
-    if (control.stopped()) return stopped_result(true, std::move(verified));
-    result.answer = std::move(verified);
-    result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-    result.outcome.elapsed_micros = control.ElapsedMicros();
-    if (stats != nullptr) stats->answer_size = result.answer.size();
-    return result;
-  }
-
-  // Stage: probe. All cache commits (query-counter tick, §5.1 credits,
-  // insertion) are DEFERRED and replayed in original order only when the
-  // query completes, so an aborted query leaves the cache bit-identical to
-  // one that never saw it.
-  control.set_stage(serving::QueryStage::kProbe);
+  // Stage 2 (Fig. 6): the cache lookup. The canonical-key exact-hit fast
+  // path comes first: one hash probe of the key map. Only on a key miss
+  // does the feature extraction + index probe run — an exact hit therefore
+  // performs zero isomorphism tests. The filter ran either way: its
+  // candidate count feeds the §5.1 exact-hit credit below, which keeps
+  // eviction trajectories (and the fig09/fig15 cells) identical to the
+  // pre-key isomorphism path. With the cache disabled the probe finds
+  // nothing, so every candidate goes on to verification.
   const size_t query_nodes = query.NumVertices();
   CacheProbe probe;
   std::string canonical;
-  size_t exact_position = SIZE_MAX;
-  {
-    ScopedTimer probe_timer(probe_sink);
-    canonical = GraphCanonicalCode(query);
-    exact_position = cache_->FindExactByKey(canonical);
-    if (exact_position == SIZE_MAX) {
-      const PathFeatureCounts features = cache_->ExtractFeatures(query);
-      probe = cache_->Probe(query, features);
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kProbe);
+    size_t exact_position = SIZE_MAX;
+    {
+      ScopedTimer probe_timer(probe_sink);
+      canonical = GraphCanonicalCode(query);
+      exact_position = cache_->FindExactByKey(canonical);
+      if (exact_position == SIZE_MAX) {
+        probe = cache_->Probe(query, cache_->ExtractFeatures(query));
+      }
     }
-  }
-  // A stop during the probe makes its results garbage (an interrupted
-  // containment search aliases to a hit/miss) — abort without facts.
-  if (control.CheckNow()) return stopped_result(false, {});
-  if (stats != nullptr) {
-    stats->probe_iso_tests = probe.probe_iso_tests;
-    stats->isub_hits = probe.supergraph_positions.size();
-    stats->isuper_hits = probe.subgraph_positions.size();
-  }
-
-  if (exact_position == SIZE_MAX) exact_position = probe.exact_position;
-  if (exact_position != SIZE_MAX) {
-    // Exact hit: commit in the unbudgeted order (counter tick, then the
-    // single-site §5.1 credit) and return the cached answer.
-    cache_->RecordQueryProcessed();
-    const CachedQuery& entry = cache_->entries()[exact_position];
-    cache_->CreditExactHit(exact_position, candidates.size(),
-                           SumIsomorphismCosts(*db_, method_->Direction(),
-                                               query_nodes, candidates));
-    result.answer = entry.answer.ToVector();
-    result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-    result.outcome.elapsed_micros = control.ElapsedMicros();
+    // A stop during the probe makes its results garbage (an interrupted
+    // containment search aliases to a hit/miss) — abort without facts.
+    if (control.CheckNow()) return stop(false, {});
     if (stats != nullptr) {
-      stats->shortcut = ShortcutKind::kExactHit;
-      stats->candidates_final = 0;
-      stats->answer_size = result.answer.size();
+      stats->probe_iso_tests = probe.probe_iso_tests;
+      stats->isub_hits = probe.supergraph_positions.size();
+      stats->isuper_hits = probe.subgraph_positions.size();
     }
-    return result;
+
+    // §4.3 case 1: identical (isomorphic) previous query — return its
+    // answer outright. The probe fallback covers only the key map and the
+    // probe disagreeing, which the canonicalization test suite rules out
+    // (the key map holds exactly the flushed entries the probe scans).
+    if (exact_position == SIZE_MAX) exact_position = probe.exact_position;
+    if (exact_position != SIZE_MAX) {
+      // The query completes here: tick its clock, then the single-site
+      // §5.1 credit.
+      cache_->RecordQueryProcessed();
+      cache_->CreditExactHit(exact_position, candidates.size(),
+                             SumIsomorphismCosts(*db_, method_->Direction(),
+                                                 query_nodes, candidates));
+      result->answer = cache_->entries()[exact_position].answer.ToVector();
+      if (stats != nullptr) {
+        stats->shortcut = ShortcutKind::kExactHit;
+        stats->candidates_final = 0;
+        stats->answer_size = result->answer.size();
+      }
+      return;
+    }
   }
 
+  // The §4.4 role inversion. For subgraph queries, cached *supergraphs* of g
+  // yield guaranteed answers (formulas (3)/(4)) and cached *subgraphs*
+  // intersect the candidate set (formula (5)). For supergraph queries the
+  // roles swap: cached subgraphs G ⊆ g guarantee (Gi ⊆ G ⊆ g), cached
+  // supergraphs g ⊆ G intersect (Gi ⊆ g implies Gi ⊆ G).
   const bool subgraph_query =
       method_->Direction() == QueryDirection::kSubgraph;
   const std::vector<size_t>& guarantee_positions =
@@ -381,16 +174,14 @@ QueryResult QueryEngine::ProcessBudgeted(const Graph& query,
   const std::vector<size_t>& intersect_positions =
       subgraph_query ? probe.subgraph_positions : probe.supergraph_positions;
 
-  // Deferred §5.1 credits: buffered during prune, replayed in the original
-  // order at commit. Costs are computed inside the callback (the removed
-  // span is only scratch-valid there).
-  struct PendingCredit {
-    size_t position;
-    uint64_t removed;
-    LogValue cost;
-  };
+  // §5.1 credits are buffered during prune and applied at commit. Nothing
+  // reads the cache between the two on a single stream, so this costs the
+  // unlimited query nothing and lets a stopped one leave no trace. Costs are
+  // computed inside the callback (the removed span is only scratch-valid
+  // there).
   std::vector<PendingCredit> pending_credits;
-
+  // The prune scratch (and the outcome inside it) is this thread's; it
+  // stays valid through verification and answer assembly below.
   PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
   {
     ScopedTimer prune_timer(probe_sink);
@@ -406,319 +197,89 @@ QueryResult QueryEngine::ProcessBudgeted(const Graph& query,
     PruneCandidates(
         candidates, guarantee, intersect,
         [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
-          const size_t position = side == PruneSide::kGuarantee
-                                      ? guarantee_positions[index]
-                                      : intersect_positions[index];
           pending_credits.push_back(
-              {position, removed.size(),
+              {side == PruneSide::kGuarantee ? guarantee_positions[index]
+                                             : intersect_positions[index],
+               removed.size(),
                SumIsomorphismCosts(*db_, method_->Direction(), query_nodes,
                                    removed)});
         },
-        prune_scratch, &control);
+        prune_scratch, limit);
   }
   const PruneOutcome& pruned = prune_scratch.outcome;
-
   if (stats != nullptr) {
     stats->candidates_final = pruned.remaining.size();
     if (pruned.empty_answer_shortcut) {
       stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
     }
   }
-
   // A stop during prune: the entries consulted so far yielded true facts,
   // so the guaranteed set is a valid partial answer (§4.3 composition).
   if (control.stopped()) {
     std::vector<GraphId> partial;
     AssembleAnswer(pruned, {}, prune_scratch, &partial);
-    return stopped_result(true, std::move(partial));
+    return stop(true, std::move(partial));
   }
 
+  // Stages 3-5 (Fig. 6): verification on the pool (inline with one
+  // thread), then formula (4): Answer(g) = verified ∪ guaranteed answers.
   control.set_stage(serving::QueryStage::kVerify);
   std::vector<GraphId> verified;
   {
     ScopedTimer verify_timer(verify_sink);
-    verified = RunVerification(pruned.remaining, *prepared, &control);
+    verified = pool_.Run(
+        pruned.remaining,
+        [&](GraphId id) { return method_->Verify(*prepared, id); }, limit);
   }
   if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
+  AssembleAnswer(pruned, verified, prune_scratch, &result->answer);
+  if (stats != nullptr) stats->answer_size = result->answer.size();
+  // Verified ids are the trusted subset (VerifyPool::Run contract), so
+  // guaranteed ∪ verified is still a true partial answer. Never cached.
+  if (control.stopped()) return stop(true, std::move(result->answer));
 
-  std::vector<GraphId> answer;
-  AssembleAnswer(pruned, verified, prune_scratch, &answer);
-  if (stats != nullptr) stats->answer_size = answer.size();
-
-  if (control.stopped()) {
-    // Verified ids are the trusted subset (RunVerification contract), so
-    // guaranteed ∪ verified is still a true partial answer. Never cached.
-    return stopped_result(true, std::move(answer));
+  // Stages 6-8 (Fig. 6): commit — the query clock tick, the buffered
+  // credits in consultation order, then the insertion. Maintenance (window
+  // flush + shadow rebuild) is timed inside the cache, off the query path.
+  if (options_.enabled) {
+    cache_->RecordQueryProcessed();
+    for (const PendingCredit& credit : pending_credits) {
+      cache_->CreditHit(credit.position);
+      cache_->CreditPrune(credit.position, credit.removed, credit.cost);
+    }
+    cache_->Insert(query, result->answer, std::move(canonical));
   }
-
-  // Completed: replay the deferred commits in the unbudgeted order —
-  // counter tick, prune credits (hit + prune per consulted entry, in
-  // consultation order), then the insertion.
-  cache_->RecordQueryProcessed();
-  for (const PendingCredit& credit : pending_credits) {
-    cache_->CreditHit(credit.position);
-    cache_->CreditPrune(credit.position, credit.removed, credit.cost);
-  }
-  cache_->Insert(query, answer, std::move(canonical));
-  result.answer = std::move(answer);
-  result.outcome.kind = serving::QueryOutcomeKind::kCompleted;
-  result.outcome.elapsed_micros = control.ElapsedMicros();
-  return result;
 }
 
 bool QueryEngine::SaveSnapshot(std::ostream& out, std::string* error) const {
-  snapshot::WriteSnapshotHeader(out);
-
-  std::ostringstream cache_payload;
-  {
-    snapshot::BinaryWriter writer(cache_payload);
-    cache_->Save(writer, db_->graphs.size(),
-                 snapshot::DatasetFingerprint(db_->graphs));
-    if (!writer.ok()) {
-      SetError(error, "failed to serialize cache state");
-      return false;
-    }
-  }
-  snapshot::WriteSection(out, snapshot::kSectionCache,
-                         std::move(cache_payload).str());
-
-  // The method index rides along when the method supports persistence; the
-  // method name prefixes the payload so a mismatched load is caught early.
-  std::ostringstream index_payload;
-  {
-    snapshot::BinaryWriter writer(index_payload);
-    writer.WriteString(method_->Name());
-  }
-  if (method_->SaveIndex(index_payload)) {
-    snapshot::WriteSection(out, snapshot::kSectionMethodIndex,
-                           std::move(index_payload).str());
-  }
-
-  // Mutation state rides along once the dataset has ever mutated; a
-  // never-mutated snapshot stays byte-identical to the pre-mutation format.
-  if (db_->mutation_epoch != 0) {
-    std::ostringstream mutation_payload;
-    snapshot::BinaryWriter writer(mutation_payload);
-    snapshot::WriteMutationState(writer, *db_);
-    snapshot::WriteSection(out, snapshot::kSectionMutationState,
-                           std::move(mutation_payload).str());
-  }
-
-  snapshot::WriteSnapshotEnd(out);
-  if (!out.good()) {
-    SetError(error, "stream failure while writing snapshot");
-    return false;
-  }
-  return true;
+  return SaveEngineSnapshot(out, *db_, *method_, *cache_, kCacheSection,
+                            error);
 }
 
 bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
                                SnapshotLoadInfo* info) {
-  if (info != nullptr) *info = SnapshotLoadInfo{};
-  // Each failure path classifies itself (SnapshotErrorKind) so callers can
-  // tell damaged bytes, version skew, and dataset divergence apart.
-  snapshot::SnapshotErrorKind kind = snapshot::SnapshotErrorKind::kNone;
-  auto classify = [&](snapshot::SnapshotErrorKind value) {
-    if (info != nullptr) info->error_kind = value;
-    return false;  // so failure paths read `return classify(...)`
-  };
-  if (!snapshot::ReadSnapshotHeader(in, error, &kind)) return classify(kind);
-
-  // Decode and checksum-verify every section before touching engine state,
-  // so a file corrupted anywhere is rejected without side effects.
-  std::string cache_payload, index_payload, mutation_payload;
-  bool have_cache = false, have_index = false, have_mutation = false;
-  for (;;) {
-    snapshot::Section section;
-    if (!snapshot::ReadSection(in, &section, error, &kind)) {
-      return classify(kind);
-    }
-    if (section.id == snapshot::kSectionEnd) break;
-    if (section.id == snapshot::kSectionCache) {
-      cache_payload = std::move(section.payload);
-      have_cache = true;
-    } else if (section.id == snapshot::kSectionMethodIndex) {
-      index_payload = std::move(section.payload);
-      have_index = true;
-    } else if (section.id == snapshot::kSectionMutationState) {
-      mutation_payload = std::move(section.payload);
-      have_mutation = true;
-    }
-    // Unknown section ids are skipped: they are checksum-verified data from
-    // a newer writer, not corruption.
-  }
-  // The end marker itself carries no checksum, so a section id corrupted
-  // into 0 would silently drop the file's tail — require EOF behind it.
-  if (in.peek() != std::char_traits<char>::eof()) {
-    SetError(error, "corrupt snapshot: trailing bytes after the end marker");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-  if (!have_cache) {
-    SetError(error, "snapshot has no cache section");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-
-  // Mutation-state validation (validate-don't-apply: the engine holds the
-  // database const, so the section must MATCH the database rather than
-  // change it). A snapshot without the section can only be restored over a
-  // never-mutated database.
-  uint64_t mutation_epoch = 0;
-  size_t num_tombstones = 0;
-  if (have_mutation) {
-    const uint64_t mutation_payload_size = mutation_payload.size();
-    std::istringstream mutation_stream(std::move(mutation_payload));
-    snapshot::BinaryReader mutation_reader(mutation_stream);
-    // Length fields inside the section cannot claim more than the section
-    // itself holds — forged counts fail before allocating.
-    mutation_reader.LimitRemainingBytes(mutation_payload_size);
-    if (!snapshot::ValidateMutationState(mutation_reader, *db_,
-                                         &mutation_epoch, &num_tombstones,
-                                         error, &kind)) {
-      return classify(kind);
-    }
-    if (mutation_stream.peek() != std::char_traits<char>::eof()) {
-      SetError(error,
-               "corrupt snapshot: unread bytes in the mutation-state section");
-      return classify(snapshot::SnapshotErrorKind::kCorrupt);
-    }
-  } else if (db_->mutation_epoch != 0) {
-    SetError(error,
-             "snapshot carries no mutation state but the database has "
-             "mutated since construction");
-    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-  }
-
-  // Validate the method-index framing before committing any state, so a
-  // rejected load leaves both the cache and the method untouched.
-  std::istringstream index_stream(std::move(index_payload));
-  if (have_index) {
-    std::string method_name;
-    {
-      snapshot::BinaryReader name_reader(index_stream);
-      if (!name_reader.ReadString(&method_name)) {
-        SetError(error, "method-index section is malformed");
-        return classify(snapshot::SnapshotErrorKind::kCorrupt);
-      }
-    }
-    if (method_name != method_->Name()) {
-      SetError(error, "snapshot index was built by method '" + method_name +
-                          "', engine runs '" + method_->Name() + "'");
-      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-    }
-  }
-
-  // Load into a fresh cache object and swap it in only after the method
-  // index (if any) also loads, so every failure path leaves the engine —
-  // cache and method alike — exactly as it was.
   auto fresh_cache = std::make_unique<QueryCache>(options_, db_->graphs.size());
-  const uint64_t cache_payload_size = cache_payload.size();
-  std::istringstream cache_stream(std::move(cache_payload));
-  snapshot::BinaryReader cache_reader(cache_stream);
-  // Same forged-length arming as the mutation section above.
-  cache_reader.LimitRemainingBytes(cache_payload_size);
-  if (!fresh_cache->Load(cache_reader, db_->graphs.size(),
-                         snapshot::DatasetFingerprint(db_->graphs))) {
-    SetError(error,
-             "cache section rejected (malformed, saved under different iGQ "
-             "options, or over a different dataset)");
-    // The payload passed its checksum, so the bytes are as written — the
-    // mismatch is with this engine's dataset or configuration.
-    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache, kCacheSection,
+                          error, info)) {
+    return false;
   }
-  // An under-counted record count would leave unread bytes behind — the
-  // same silent data loss the container guards against everywhere else.
-  if (cache_stream.peek() != std::char_traits<char>::eof()) {
-    SetError(error, "corrupt snapshot: unread bytes in the cache section");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-
-  if (have_index) {
-    // Method::LoadIndex implementations commit only on success, so a
-    // false here leaves the method's existing index intact.
-    if (!method_->LoadIndex(*db_, index_stream)) {
-      SetError(error, "method '" + method_->Name() +
-                          "' rejected its index payload (incompatible "
-                          "configuration or malformed bytes)");
-      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
-    }
-    // Fail-closed on unread bytes. LoadIndex has already committed by this
-    // point, but the index it installed is self-consistent and validated
-    // against db — the caller's recovery path (Build()) simply overwrites
-    // it; the cache below is still untouched.
-    if (index_stream.peek() != std::char_traits<char>::eof()) {
-      SetError(error,
-               "corrupt snapshot: unread bytes in the method-index section");
-      return classify(snapshot::SnapshotErrorKind::kCorrupt);
-    }
-    if (info != nullptr) info->method_index_restored = true;
-  }
-
   cache_ = std::move(fresh_cache);
-  if (info != nullptr) {
-    info->cached_queries = cache_->size();
-    info->mutation_epoch = mutation_epoch;
-    info->tombstones = num_tombstones;
-  }
   return true;
 }
 
 MutationResult QueryEngine::ApplyMutation(GraphDatabase& db,
                                           const GraphMutation& mutation) {
-  MutationResult result;
-  if (&db != db_) return result;  // not the database this engine serves
-  // The no-op check runs BEFORE the WAL append, so every logged record
-  // corresponds to exactly one applied mutation — one epoch increment —
-  // and a replayed log passes through every epoch (durability/wal.h).
-  if (mutation.kind == MutationKind::kRemoveGraph) {
-    result.id = mutation.id;
-    if (!db.IsLive(mutation.id)) return result;  // no-op: never logged
-  }
-  // Log-before-apply: a mutation that cannot be made durable is refused
-  // outright rather than applied and lost on the next crash.
-  if (wal_ != nullptr &&
-      !wal_->Append(mutation, db.mutation_epoch + 1, &result.wal_sequence)) {
-    result.wal_failed = true;
-    return result;
-  }
-  if (mutation.kind == MutationKind::kAddGraph) {
-    result.id = db.AddGraph(mutation.graph);
-    result.applied = true;
-    result.incremental = method_->OnAddGraph(db, result.id);
-    if (!result.incremental) method_->Build(db);
-    cache_->ApplyGraphAdded(db.graphs[result.id], result.id,
-                            method_->Direction());
-  } else {
-    db.RemoveGraph(mutation.id);  // cannot fail: IsLive held above
-    result.applied = true;
-    result.incremental = method_->OnRemoveGraph(db, mutation.id);
-    if (!result.incremental) method_->Build(db);
-    cache_->ApplyGraphRemoved(mutation.id);
-  }
-  result.epoch = db.mutation_epoch;
-  return result;
+  if (&db != db_) return {};  // not the database this engine serves
+  return ApplyEngineMutation(db, *method_, *cache_, wal_, mutation);
 }
 
 std::vector<BatchResult> QueryEngine::ProcessBatch(
     std::span<const Graph> queries, const BatchOptions& batch) {
+  const serving::QueryRequest request{batch.budget, batch.cancel};
   std::vector<BatchResult> results;
   results.reserve(queries.size());
-  const bool budgeted = !batch.budget.Unlimited() || batch.cancel != nullptr;
   for (const Graph& query : queries) {
-    BatchResult result;
-    if (budgeted) {
-      serving::QueryRequest request;
-      request.budget = batch.budget;
-      request.cancel = batch.cancel;
-      QueryResult budgeted_result =
-          ProcessWithBudget(query, request, batch.collect_stats);
-      result.answer = std::move(budgeted_result.answer);
-      result.stats = budgeted_result.stats;
-      result.outcome = budgeted_result.outcome;
-    } else {
-      result.answer = Process(query, batch.collect_stats ? &result.stats
-                                                         : nullptr);
-    }
-    results.push_back(std::move(result));
+    results.push_back(ProcessWithBudget(query, request, batch.collect_stats));
   }
   return results;
 }

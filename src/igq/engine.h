@@ -63,17 +63,17 @@ struct QueryStats {
 struct BatchOptions {
   /// Fill BatchResult::stats for every query (on by default). When false
   /// the engine skips stats gathering entirely — no per-stage clock reads
-  /// and no counter writes anywhere on the query path, not merely a
+  /// and no QueryStats writes anywhere on the query path, not merely a
   /// discarded copy — so throughput-oriented batch serving pays nothing
   /// for the measurement plumbing; every BatchResult::stats stays
   /// value-initialized. Answers and cache maintenance are unaffected.
   bool collect_stats = true;
 
-  /// Per-query budget applied to every query of the batch (serving/budget.h).
-  /// Default-constructed (all zeros) = unlimited: the batch runs the plain,
-  /// bit-identical pipeline. Zero fields fall back to the engine's
-  /// IgqOptions::ServingOptions defaults when the budget is otherwise
-  /// active.
+  /// Per-query budget applied to every query of the batch (serving/budget.h):
+  /// each query runs as a ProcessWithBudget request, so zero fields fall
+  /// back to the engine's IgqOptions::ServingOptions defaults. With those
+  /// at their zero defaults, a default-constructed budget is unlimited and
+  /// the batch's cache trajectory is bit-identical to Process per query.
   serving::QueryBudget budget;
 
   /// Optional external cancellation flag shared by the whole batch; may be
@@ -81,23 +81,19 @@ struct BatchOptions {
   const serving::CancelSource* cancel = nullptr;
 };
 
-/// Per-query outcome of a batch run.
-struct BatchResult {
-  std::vector<GraphId> answer;
-  QueryStats stats;
-  /// Lifecycle disposition (always kCompleted on the unbudgeted path).
-  serving::QueryOutcome outcome;
-};
-
-/// Result of one budgeted query (ProcessWithBudget): `answer` is the full
-/// answer (kCompleted), a cache-composed partial answer flagged by the
-/// outcome (kPartial — a true subset of the full answer), or empty for the
-/// rejection outcomes.
+/// Result of one query run as a request (ProcessWithBudget, and each query
+/// of a batch): `answer` is the full answer (kCompleted), a cache-composed
+/// partial answer flagged by the outcome (kPartial — a true subset of the
+/// full answer), or empty for the rejection outcomes.
 struct QueryResult {
   std::vector<GraphId> answer;
   serving::QueryOutcome outcome;
   QueryStats stats;
 };
+
+/// Per-query outcome of a batch run (always kCompleted for an unlimited
+/// query).
+using BatchResult = QueryResult;
 
 /// What LoadSnapshot actually restored.
 struct SnapshotLoadInfo {
@@ -124,12 +120,11 @@ struct SnapshotLoadInfo {
 /// Thread-safety: an engine is a single logical query stream. Process,
 /// ProcessBatch, and the snapshot calls must not run concurrently with
 /// each other on the same engine — parallelism lives *inside* a query
-/// (the Fig. 6 probe threads and the verification pool, which requires
-/// Method::Verify to be thread-safe). To serve many concurrent streams
-/// over one *shared* cache, use ConcurrentQueryEngine
-/// (concurrent_engine.h); giving each stream its own QueryEngine also
-/// works but keeps the caches private, so streams never share hits. See
-/// docs/CONCURRENCY.md.
+/// (the verification pool, which requires Method::Verify to be
+/// thread-safe). To serve many concurrent streams over one *shared*
+/// cache, use ConcurrentQueryEngine (concurrent_engine.h); giving each
+/// stream its own QueryEngine also works but keeps the caches private, so
+/// streams never share hits. See docs/CONCURRENCY.md.
 class QueryEngine {
  public:
   /// `db` and `method` must outlive the engine; `method` must be
@@ -140,25 +135,27 @@ class QueryEngine {
               const IgqOptions& options);
   ~QueryEngine();
 
-  /// Executes one query end-to-end and returns the ids of all dataset
-  /// graphs related to `query` in the method's direction (sorted). Fills
-  /// `stats` if non-null; a null `stats` skips stats collection entirely
-  /// (no per-stage clock reads, no counter writes), not just the copy-out.
+  /// Executes one query end-to-end as an unlimited request and returns the
+  /// ids of all dataset graphs related to `query` in the method's direction
+  /// (sorted). Fills `stats` if non-null; a null `stats` skips stats
+  /// collection entirely (no clock reads, no counter writes), not just the
+  /// copy-out.
   std::vector<GraphId> Process(const Graph& query, QueryStats* stats = nullptr);
 
-  /// Budgeted execution (serving/budget.h): runs the same pipeline under
-  /// `request`'s deadline/caps/cancellation and returns the typed outcome.
-  /// Budget fields left at zero fall back to the engine's
-  /// IgqOptions::ServingOptions defaults; a fully unlimited request runs
-  /// the plain Process pipeline (bit-identical cache trajectory) and
-  /// reports kCompleted. A query stopped mid-pipeline commits NOTHING —
-  /// no query-counter tick, no §5.1 credits, no insertion — so the cache
-  /// state stays bit-identical to an engine that never saw the query; a
-  /// stop during or after the prune stage degrades to a cache-composed
-  /// partial answer (§4.3 guaranteed set ∪ verified-so-far, flagged
-  /// kPartial, never cached) when ServingOptions::degrade_to_partial is on.
-  /// `collect_stats` fills QueryResult::stats (same contract as Process's
-  /// null-stats mode when false).
+  /// Budgeted execution (serving/budget.h): runs the engine's one pipeline
+  /// under `request`'s deadline/caps/cancellation and returns the typed
+  /// outcome. Budget fields left at zero fall back to the engine's
+  /// IgqOptions::ServingOptions defaults; a request left unlimited behaves
+  /// exactly like Process (bit-identical cache trajectory) and reports
+  /// kCompleted. Every completed query commits once — query-clock tick,
+  /// §5.1 credits in consultation order, insertion — and a query stopped
+  /// mid-pipeline commits NOTHING, so the cache state stays bit-identical
+  /// to an engine that never saw the query; a stop during or after the
+  /// prune stage degrades to a cache-composed partial answer (§4.3
+  /// guaranteed set ∪ verified-so-far, flagged kPartial, never cached) when
+  /// ServingOptions::degrade_to_partial is on. `collect_stats` fills
+  /// QueryResult::stats (same contract as Process's null-stats mode when
+  /// false).
   QueryResult ProcessWithBudget(const Graph& query,
                                 const serving::QueryRequest& request,
                                 bool collect_stats = false);
@@ -169,10 +166,12 @@ class QueryEngine {
     return outcomes_.Snapshot();
   }
 
-  /// Executes the queries in order against the same cache, reusing the
-  /// engine's verification pool across the whole batch. Answers are
-  /// identical to calling Process() per query on a same-state engine.
-  /// Not reentrant: one batch (or Process call) at a time per engine.
+  /// Executes the queries in order against the same cache, each as a
+  /// ProcessWithBudget request carrying the batch's budget and cancel flag,
+  /// reusing the engine's verification pool across the whole batch. An
+  /// unlimited batch answers identically to calling Process() per query on
+  /// a same-state engine. Not reentrant: one batch (or Process call) at a
+  /// time per engine.
   std::vector<BatchResult> ProcessBatch(std::span<const Graph> queries,
                                         const BatchOptions& batch = {});
 
@@ -226,27 +225,20 @@ class QueryEngine {
   const IgqOptions& options() const { return options_; }
 
  private:
-  /// Verification over `candidates`, on the pool when one exists.
-  /// `control` (null on the unbudgeted path) propagates cancellation into
-  /// the workers; on a stopped control the result is the trusted subset
-  /// (VerifyPool::Run contract).
-  std::vector<GraphId> RunVerification(const std::vector<GraphId>& candidates,
-                                       const PreparedQuery& prepared,
-                                       serving::QueryControl* control =
-                                           nullptr) const;
-
-  /// The budgeted pipeline behind ProcessWithBudget: same stages as
-  /// Process, with stage checkpoints, deferred cache commits, and the
-  /// degradation ladder. `control` must be armed and limited.
-  QueryResult ProcessBudgeted(const Graph& query,
-                              serving::QueryControl& control,
-                              bool collect_stats);
+  /// The query pipeline behind every entry point: filter, cache lookup,
+  /// prune, verify, commit, with a stage checkpoint after each stage and
+  /// the degradation ladder on a stop. `control` may be unlimited (never
+  /// armed, as for Process, or armed from an unlimited request), in which
+  /// case no checkpoint fires. Fills `result`'s answer, outcome (except
+  /// elapsed time), and — with `collect_stats` — stats.
+  void Execute(const Graph& query, serving::QueryControl& control,
+               bool collect_stats, QueryResult* result);
 
   const GraphDatabase* db_;
   Method* method_;
   IgqOptions options_;
   std::unique_ptr<QueryCache> cache_;
-  std::unique_ptr<VerifyPool> pool_;  // null when verify_threads == 1
+  VerifyPool pool_;  // no workers when verify_threads == 1: runs inline
   durability::WalWriter* wal_ = nullptr;  // not owned; see AttachWal
   serving::OutcomeAccumulator outcomes_;
 };

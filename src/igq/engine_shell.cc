@@ -1,0 +1,279 @@
+#include "igq/engine_shell.h"
+
+#include <sstream>
+
+#include "durability/wal.h"
+#include "igq/cache.h"
+#include "igq/sharded_cache.h"
+#include "snapshot/mutation_state.h"
+#include "snapshot/serializer.h"
+#include "snapshot/snapshot.h"
+
+namespace igq {
+namespace {
+
+void SetError(std::string* error, const std::string& message) {
+  if (error != nullptr) *error = message;
+}
+
+}  // namespace
+
+template <typename Cache>
+bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
+                        const Method& method, const Cache& cache,
+                        CacheSection section, std::string* error) {
+  snapshot::WriteSnapshotHeader(out);
+
+  std::ostringstream cache_payload;
+  {
+    snapshot::BinaryWriter writer(cache_payload);
+    cache.Save(writer, db.graphs.size(),
+               snapshot::DatasetFingerprint(db.graphs));
+    if (!writer.ok()) {
+      SetError(error, std::string("failed to serialize ") + section.name +
+                          " state");
+      return false;
+    }
+  }
+  snapshot::WriteSection(out, section.id, std::move(cache_payload).str());
+
+  // The method index rides along when the method supports persistence; the
+  // method name prefixes the payload so a mismatched load is caught early.
+  std::ostringstream index_payload;
+  {
+    snapshot::BinaryWriter writer(index_payload);
+    writer.WriteString(method.Name());
+  }
+  if (method.SaveIndex(index_payload)) {
+    snapshot::WriteSection(out, snapshot::kSectionMethodIndex,
+                           std::move(index_payload).str());
+  }
+
+  // Mutation state rides along once the dataset has ever mutated; a
+  // never-mutated snapshot stays byte-identical to the pre-mutation format.
+  if (db.mutation_epoch != 0) {
+    std::ostringstream mutation_payload;
+    snapshot::BinaryWriter writer(mutation_payload);
+    snapshot::WriteMutationState(writer, db);
+    snapshot::WriteSection(out, snapshot::kSectionMutationState,
+                           std::move(mutation_payload).str());
+  }
+
+  snapshot::WriteSnapshotEnd(out);
+  if (!out.good()) {
+    SetError(error, "stream failure while writing snapshot");
+    return false;
+  }
+  return true;
+}
+
+template <typename Cache>
+bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
+                        Method& method, Cache& fresh_cache,
+                        CacheSection section, std::string* error,
+                        SnapshotLoadInfo* info) {
+  if (info != nullptr) *info = SnapshotLoadInfo{};
+  // Each failure path classifies itself (SnapshotErrorKind) so callers can
+  // tell damaged bytes, version skew, and dataset divergence apart.
+  snapshot::SnapshotErrorKind kind = snapshot::SnapshotErrorKind::kNone;
+  auto classify = [&](snapshot::SnapshotErrorKind value) {
+    if (info != nullptr) info->error_kind = value;
+    return false;  // so failure paths read `return classify(...)`
+  };
+  if (!snapshot::ReadSnapshotHeader(in, error, &kind)) return classify(kind);
+
+  // Decode and checksum-verify every section before touching engine state,
+  // so a file corrupted anywhere is rejected without side effects.
+  std::string cache_payload, index_payload, mutation_payload;
+  bool have_cache = false, have_index = false, have_mutation = false;
+  for (;;) {
+    snapshot::Section read;
+    if (!snapshot::ReadSection(in, &read, error, &kind)) {
+      return classify(kind);
+    }
+    if (read.id == snapshot::kSectionEnd) break;
+    if (read.id == section.id) {
+      cache_payload = std::move(read.payload);
+      have_cache = true;
+    } else if (read.id == snapshot::kSectionMethodIndex) {
+      index_payload = std::move(read.payload);
+      have_index = true;
+    } else if (read.id == snapshot::kSectionMutationState) {
+      mutation_payload = std::move(read.payload);
+      have_mutation = true;
+    }
+    // Unknown section ids — including the other engine's cache section,
+    // whose geometry cannot match this cache — are skipped: they are
+    // checksum-verified data, not corruption.
+  }
+  // The end marker itself carries no checksum, so a section id corrupted
+  // into 0 would silently drop the file's tail — require EOF behind it.
+  if (in.peek() != std::char_traits<char>::eof()) {
+    SetError(error, "corrupt snapshot: trailing bytes after the end marker");
+    return classify(snapshot::SnapshotErrorKind::kCorrupt);
+  }
+  if (!have_cache) {
+    SetError(error, std::string("snapshot has no ") + section.name +
+                        " section");
+    return classify(snapshot::SnapshotErrorKind::kCorrupt);
+  }
+
+  // Mutation-state validation (validate-don't-apply: the engine holds the
+  // database const, so the section must MATCH the database rather than
+  // change it). A snapshot without the section can only be restored over a
+  // never-mutated database.
+  uint64_t mutation_epoch = 0;
+  size_t num_tombstones = 0;
+  if (have_mutation) {
+    const uint64_t mutation_payload_size = mutation_payload.size();
+    std::istringstream mutation_stream(std::move(mutation_payload));
+    snapshot::BinaryReader mutation_reader(mutation_stream);
+    // Length fields inside the section cannot claim more than the section
+    // itself holds — forged counts fail before allocating.
+    mutation_reader.LimitRemainingBytes(mutation_payload_size);
+    if (!snapshot::ValidateMutationState(mutation_reader, db, &mutation_epoch,
+                                         &num_tombstones, error, &kind)) {
+      return classify(kind);
+    }
+    if (mutation_stream.peek() != std::char_traits<char>::eof()) {
+      SetError(error,
+               "corrupt snapshot: unread bytes in the mutation-state section");
+      return classify(snapshot::SnapshotErrorKind::kCorrupt);
+    }
+  } else if (db.mutation_epoch != 0) {
+    SetError(error,
+             "snapshot carries no mutation state but the database has "
+             "mutated since construction");
+    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+  }
+
+  // Validate the method-index framing before committing any state, so a
+  // rejected load leaves both the cache and the method untouched.
+  std::istringstream index_stream(std::move(index_payload));
+  if (have_index) {
+    std::string method_name;
+    {
+      snapshot::BinaryReader name_reader(index_stream);
+      if (!name_reader.ReadString(&method_name)) {
+        SetError(error, "method-index section is malformed");
+        return classify(snapshot::SnapshotErrorKind::kCorrupt);
+      }
+    }
+    if (method_name != method.Name()) {
+      SetError(error, "snapshot index was built by method '" + method_name +
+                          "', engine runs '" + method.Name() + "'");
+      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+    }
+  }
+
+  // The cache loads into the caller's fresh object, swapped in only after
+  // the method index (if any) also loads, so every failure path leaves the
+  // engine — cache and method alike — exactly as it was.
+  const uint64_t cache_payload_size = cache_payload.size();
+  std::istringstream cache_stream(std::move(cache_payload));
+  snapshot::BinaryReader cache_reader(cache_stream);
+  // Same forged-length arming as the mutation section above.
+  cache_reader.LimitRemainingBytes(cache_payload_size);
+  if (!fresh_cache.Load(cache_reader, db.graphs.size(),
+                        snapshot::DatasetFingerprint(db.graphs))) {
+    SetError(error, std::string(section.name) +
+                        " section rejected (malformed, saved under different "
+                        "iGQ options, or over a different dataset)");
+    // The payload passed its checksum, so the bytes are as written — the
+    // mismatch is with this engine's dataset or configuration.
+    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+  }
+  // An under-counted record count would leave unread bytes behind — the
+  // same silent data loss the container guards against everywhere else.
+  if (cache_stream.peek() != std::char_traits<char>::eof()) {
+    SetError(error, "corrupt snapshot: unread bytes in the cache section");
+    return classify(snapshot::SnapshotErrorKind::kCorrupt);
+  }
+
+  if (have_index) {
+    // Method::LoadIndex implementations commit only on success, so a
+    // false here leaves the method's existing index intact.
+    if (!method.LoadIndex(db, index_stream)) {
+      SetError(error, "method '" + method.Name() +
+                          "' rejected its index payload (incompatible "
+                          "configuration or malformed bytes)");
+      return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+    }
+    // Fail-closed on unread bytes. LoadIndex has already committed by this
+    // point, but the index it installed is self-consistent and validated
+    // against db — the caller's recovery path (Build()) simply overwrites
+    // it; the engine's cache is still untouched.
+    if (index_stream.peek() != std::char_traits<char>::eof()) {
+      SetError(error,
+               "corrupt snapshot: unread bytes in the method-index section");
+      return classify(snapshot::SnapshotErrorKind::kCorrupt);
+    }
+    if (info != nullptr) info->method_index_restored = true;
+  }
+
+  if (info != nullptr) {
+    info->cached_queries = fresh_cache.size();
+    info->mutation_epoch = mutation_epoch;
+    info->tombstones = num_tombstones;
+  }
+  return true;
+}
+
+template <typename Cache>
+MutationResult ApplyEngineMutation(GraphDatabase& db, Method& method,
+                                   Cache& cache, durability::WalWriter* wal,
+                                   const GraphMutation& mutation) {
+  MutationResult result;
+  // The no-op check runs BEFORE the WAL append, so every logged record
+  // corresponds to exactly one applied mutation — one epoch increment —
+  // and a replayed log passes through every epoch (durability/wal.h).
+  if (mutation.kind == MutationKind::kRemoveGraph) {
+    result.id = mutation.id;
+    if (!db.IsLive(mutation.id)) return result;  // no-op: never logged
+  }
+  // Log-before-apply: a mutation that cannot be made durable is refused
+  // outright rather than applied and lost on the next crash.
+  if (wal != nullptr &&
+      !wal->Append(mutation, db.mutation_epoch + 1, &result.wal_sequence)) {
+    result.wal_failed = true;
+    return result;
+  }
+  if (mutation.kind == MutationKind::kAddGraph) {
+    result.id = db.AddGraph(mutation.graph);
+    result.applied = true;
+    result.incremental = method.OnAddGraph(db, result.id);
+    if (!result.incremental) method.Build(db);
+    cache.ApplyGraphAdded(db.graphs[result.id], result.id, method.Direction());
+  } else {
+    db.RemoveGraph(mutation.id);  // cannot fail: IsLive held above
+    result.applied = true;
+    result.incremental = method.OnRemoveGraph(db, mutation.id);
+    if (!result.incremental) method.Build(db);
+    cache.ApplyGraphRemoved(mutation.id);
+  }
+  result.epoch = db.mutation_epoch;
+  return result;
+}
+
+template bool SaveEngineSnapshot(std::ostream&, const GraphDatabase&,
+                                 const Method&, const QueryCache&,
+                                 CacheSection, std::string*);
+template bool SaveEngineSnapshot(std::ostream&, const GraphDatabase&,
+                                 const Method&, const ShardedQueryCache&,
+                                 CacheSection, std::string*);
+template bool LoadEngineSnapshot(std::istream&, const GraphDatabase&, Method&,
+                                 QueryCache&, CacheSection, std::string*,
+                                 SnapshotLoadInfo*);
+template bool LoadEngineSnapshot(std::istream&, const GraphDatabase&, Method&,
+                                 ShardedQueryCache&, CacheSection,
+                                 std::string*, SnapshotLoadInfo*);
+template MutationResult ApplyEngineMutation(GraphDatabase&, Method&,
+                                            QueryCache&,
+                                            durability::WalWriter*,
+                                            const GraphMutation&);
+template MutationResult ApplyEngineMutation(GraphDatabase&, Method&,
+                                            ShardedQueryCache&,
+                                            durability::WalWriter*,
+                                            const GraphMutation&);
+
+}  // namespace igq

@@ -1,5 +1,5 @@
-// Configuration of the iGQ framework (cache geometry per §5.2, probe and
-// verification parallelism per §4.2/§6.3).
+// Configuration of the iGQ framework (cache geometry per §5.2, verification
+// parallelism per §6.3).
 #ifndef IGQ_IGQ_OPTIONS_H_
 #define IGQ_IGQ_OPTIONS_H_
 
@@ -38,10 +38,6 @@ struct IgqOptions {
   /// Worker threads for the verification stage (Grapes(6) configs use 6).
   size_t verify_threads = 1;
 
-  /// Run the host-method filter and the two cache probes on three threads,
-  /// as in Fig. 6. Off by default so tests are deterministic.
-  bool parallel_probes = false;
-
   /// Shard count of the concurrent cache (ConcurrentQueryEngine /
   /// ShardedQueryCache only; the sequential QueryCache ignores it). Cached
   /// queries partition by structural graph hash into this many
@@ -56,8 +52,8 @@ struct IgqOptions {
   ReplacementPolicy replacement_policy = ReplacementPolicy::kUtility;
 
   /// Query-lifecycle defaults (serving/budget.h, serving/admission.h). All
-  /// zeros / false = budgets and admission fully off, which keeps every
-  /// engine path bit-identical to the pre-lifecycle pipeline.
+  /// zeros / false = budgets and admission fully off: a query is then
+  /// unlimited unless its own request carries a budget or cancel flag.
   struct ServingOptions {
     /// Default wall-clock deadline applied to budgeted queries that do not
     /// carry their own (ProcessWithBudget with a zero-deadline request).

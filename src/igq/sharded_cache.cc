@@ -188,6 +188,9 @@ bool ShardedQueryCache::TryExactHit(
   }
   *answer = record->answer.ToVector();
   const LogValue cost = cost_of(*answer);
+  // The hit completes the query: tick its clock, then credit, in the order
+  // QueryEngine commits an exact hit (RecordQueryProcessed, CreditExactHit).
+  RecordQueryProcessed();
   // One §5.1 credit site, mirroring QueryCache::CreditExactHit: the shared
   // structure lock pins the record, the credit mutex serializes the update.
   std::lock_guard<std::mutex> credits(shard.credit_mutex);

@@ -139,8 +139,10 @@ class ShardedQueryCache {
 
   /// Exact-hit fast path: if `canonical` resolves to a live (not tombstoned)
   /// cached entry — flushed or still in a window, in any shard — copies its
-  /// answer into `*answer`, credits the entry's §5.1 metadata in one step
-  /// (H += 1, R += answer size, C += cost_of(answer)), and returns true.
+  /// answer into `*answer`, ticks the query clock (RecordQueryProcessed:
+  /// the hit completes the query), credits the entry's §5.1 metadata in one
+  /// step (H += 1, R += answer size, C += cost_of(answer)), and returns
+  /// true. A miss changes nothing.
   /// One global hash lookup plus one shared shard lock; no feature
   /// extraction, no probe, no isomorphism test. `cost_of` is invoked at most
   /// once, with the answer ids, while the entry is pinned — lazily, so a

@@ -45,30 +45,26 @@ VerifyPool::~VerifyPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
-                                     FunctionRef<bool(GraphId)> verify) {
-  return Run(candidates, verify, nullptr);
+std::vector<GraphId> VerifyInline(const std::vector<GraphId>& candidates,
+                                  FunctionRef<bool(GraphId)> verify,
+                                  serving::QueryControl* control) {
+  // Same discard protocol as ClaimLoop: a result finishing at or after the
+  // stop is garbage.
+  std::vector<GraphId> verified;
+  for (GraphId id : candidates) {
+    if (control != nullptr && control->stopped()) break;
+    const bool hit = verify(id);
+    if (control != nullptr && control->stopped()) break;
+    if (hit) verified.push_back(id);
+  }
+  return verified;
 }
 
 std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
                                      FunctionRef<bool(GraphId)> verify,
                                      serving::QueryControl* control) {
-  std::vector<GraphId> verified;
-  if (candidates.empty()) return verified;
   if (workers_.empty() || candidates.size() < 2 * threads()) {
-    if (control == nullptr) {
-      for (GraphId id : candidates) {
-        if (verify(id)) verified.push_back(id);
-      }
-      return verified;
-    }
-    for (GraphId id : candidates) {
-      if (control->stopped()) break;
-      const bool hit = verify(id);
-      if (control->stopped()) break;
-      if (hit) verified.push_back(id);
-    }
-    return verified;
+    return VerifyInline(candidates, verify, control);
   }
 
   std::vector<char> outcome(candidates.size(), 0);
@@ -97,6 +93,7 @@ std::vector<GraphId> VerifyPool::Run(const std::vector<GraphId>& candidates,
     control_ = nullptr;
   }
 
+  std::vector<GraphId> verified;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (outcome[i] != 0) verified.push_back(candidates[i]);
   }

@@ -46,26 +46,24 @@ class VerifyPool {
   /// preserving candidate order. `verify` must be thread-safe and outlive
   /// the call (FunctionRef does not own it — binding a lambda at the call
   /// site is fine). Small inputs (fewer than two items per worker) run
-  /// inline on the caller. Each worker is a persistent thread, so the
-  /// matching core's per-thread MatchContext arenas are reused across every
-  /// query and batch this pool ever verifies.
-  std::vector<GraphId> Run(const std::vector<GraphId>& candidates,
-                           FunctionRef<bool(GraphId)> verify);
-
-  /// Cancellable overload: `control` (may be null — then identical to the
-  /// two-argument form) is installed on every participating thread's
-  /// MatchContext for the duration of the task, so the amortized match-core
-  /// checkpoint can stop a search mid-candidate, and it is polled between
-  /// claimed items so a stop drains the batch without starting new work.
-  /// Results recorded at or after the stop are discarded (an interrupted
-  /// search aliases "not contained" — see serving/budget.h), so on a stopped
-  /// control the returned ids are a TRUSTED SUBSET of the full result:
-  /// every id in it truly verified before the stop; ids the stop skipped or
-  /// interrupted are simply absent. Callers must check control->stopped()
-  /// and treat the result as partial.
+  /// inline on the caller (VerifyInline). Each worker is a persistent
+  /// thread, so the matching core's per-thread MatchContext arenas are
+  /// reused across every query and batch this pool ever verifies.
+  ///
+  /// `control` (null for an unlimited query) is installed on every
+  /// participating thread's MatchContext for the duration of the task, so
+  /// the amortized match-core checkpoint can stop a search mid-candidate,
+  /// and it is polled between claimed items so a stop drains the batch
+  /// without starting new work. Results recorded at or after the stop are
+  /// discarded (an interrupted search aliases "not contained" — see
+  /// serving/budget.h), so on a stopped control the returned ids are a
+  /// TRUSTED SUBSET of the full result: every id in it truly verified
+  /// before the stop; ids the stop skipped or interrupted are simply
+  /// absent. Callers must check control->stopped() and treat the result as
+  /// partial.
   std::vector<GraphId> Run(const std::vector<GraphId>& candidates,
                            FunctionRef<bool(GraphId)> verify,
-                           serving::QueryControl* control);
+                           serving::QueryControl* control = nullptr);
 
   /// Total worker count including the calling thread.
   size_t threads() const { return workers_.size() + 1; }
@@ -89,6 +87,14 @@ class VerifyPool {
 
   std::vector<std::thread> workers_;
 };
+
+/// Verification on the calling thread alone, with VerifyPool::Run's
+/// contract: candidate order is preserved and, under a stopped `control`,
+/// the result is the trusted subset. VerifyPool::Run uses it for small
+/// inputs; ConcurrentQueryEngine uses it when the shared pool is busy.
+std::vector<GraphId> VerifyInline(const std::vector<GraphId>& candidates,
+                                  FunctionRef<bool(GraphId)> verify,
+                                  serving::QueryControl* control);
 
 }  // namespace igq
 

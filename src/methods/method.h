@@ -126,7 +126,7 @@ class PreparedQuery {
   }
 
   /// Budget control of the query this prepared state serves, or null (the
-  /// default — unbudgeted queries). Set by the engine before Filter(); the
+  /// default — unlimited queries). Set by the engine before Filter(); the
   /// filter loops poll it between feature chunks (serving/budget.h). Not
   /// owned.
   void set_control(serving::QueryControl* control) { control_ = control; }

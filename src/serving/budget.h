@@ -66,8 +66,8 @@ enum class QueryOutcomeKind : uint8_t {
 const char* QueryOutcomeKindName(QueryOutcomeKind kind);
 
 /// Per-query resource budget. Zero means "unlimited" for every field, so a
-/// default-constructed budget is a no-op and the unbudgeted engine paths
-/// stay bit-identical.
+/// default-constructed budget is a no-op: an unlimited query's cache
+/// trajectory is bit-identical to Process's.
 struct QueryBudget {
   /// Wall-clock deadline in microseconds from the moment the engine accepts
   /// the query (QueryControl::Arm). 0 = no deadline.
@@ -122,9 +122,11 @@ class QueryControl {
   /// Starts the clock. `cancel` may be null (no external cancellation).
   void Arm(const QueryBudget& budget, const std::atomic<bool>* cancel);
 
-  /// True when any limit or the cancel flag is active — the engines take the
-  /// budgeted (deferred-commit) path only in that case, keeping the
-  /// unlimited path byte-for-byte identical to the pre-lifecycle code.
+  /// True when any limit or the cancel flag is active. The engines run one
+  /// pipeline either way, but hand the control to the searches, admission,
+  /// and the commit deferral only when it is limited: an unlimited query
+  /// commits as it goes, and its stage checkpoints are branches that never
+  /// fire. A never-armed control is unlimited.
   bool limited() const { return limited_; }
 
   bool has_deadline() const { return has_deadline_; }

@@ -1,9 +1,9 @@
 // Tests for the concurrent serving layer (docs/CONCURRENCY.md): the
 // sharded cache's placement/dedup invariants, the answer-equivalence and
 // cache-content contracts of ConcurrentQueryEngine vs the sequential
-// engine, multi-threaded stress under eviction pressure (the ThreadSanitizer
-// CI target), the collect_stats=false fast path, and the sharded-cache
-// snapshot round trip.
+// engine, limited-vs-unlimited commit parity on one stream, multi-threaded
+// stress under eviction pressure (the ThreadSanitizer CI target), the
+// collect_stats=false fast path, and the sharded-cache snapshot round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +19,14 @@
 #include "igq/mutation.h"
 #include "igq/sharded_cache.h"
 #include "methods/registry.h"
+#include "tests/state_diff.h"
 #include "tests/test_util.h"
 
 namespace igq {
 namespace {
 
 using testing::BruteForceSubgraphAnswer;
+using testing::ExpectSameStats;
 using testing::RandomConnectedGraph;
 using testing::RandomSubgraphOf;
 
@@ -168,6 +170,47 @@ TEST(ConcurrentEngineTest, AnswersAndCacheContentsMatchSequentialReplay) {
   EXPECT_EQ(
       sequential.cache().entries().size() + sequential.cache().window_fill(),
       distinct.size());
+}
+
+// The twin of LifecycleSequentialTest.BudgetedPipelineParityWithPlainProcess.
+// A live cancel flag (never fired) makes every query limited: commits are
+// buffered and the probe session is held until commit. On one stream that
+// must leave the same answers, stats, and serialized cache state — §5.1
+// metadata and the query clock included — as Process after every query.
+TEST(ConcurrentEngineTest, BudgetedPipelineParityWithPlainProcess) {
+  const GraphDatabase db = MakeDb(17);
+  const std::vector<Graph> queries = MakeWorkload(db, 18, 120);
+
+  IgqOptions options;
+  options.cache_capacity = 24;
+  options.window_size = 4;
+  options.cache_shards = 2;
+
+  auto method_a = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  auto method_b = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  method_a->Build(db);
+  method_b->Build(db);
+  ConcurrentQueryEngine budgeted(db, method_a.get(), options);
+  ConcurrentQueryEngine plain(db, method_b.get(), options);
+
+  serving::CancelSource never_fired;
+  serving::QueryRequest request;
+  request.cancel = &never_fired;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult via_budget =
+        budgeted.ProcessWithBudget(queries[i], request, /*collect_stats=*/true);
+    QueryStats plain_stats;
+    const std::vector<GraphId> via_plain =
+        plain.Process(queries[i], &plain_stats);
+    EXPECT_EQ(via_budget.outcome.kind, serving::QueryOutcomeKind::kCompleted);
+    EXPECT_EQ(via_budget.answer, via_plain) << "query " << i;
+    ExpectSameStats(via_budget.stats, plain_stats, i);
+    std::ostringstream budgeted_bytes, plain_bytes;
+    ASSERT_TRUE(budgeted.SaveSnapshot(budgeted_bytes));
+    ASSERT_TRUE(plain.SaveSnapshot(plain_bytes));
+    ASSERT_TRUE(budgeted_bytes.str() == plain_bytes.str())
+        << "snapshot bytes differ after query " << i;
+  }
 }
 
 TEST(ConcurrentEngineTest, StressUnderEvictionPressureStaysExact) {

@@ -227,23 +227,6 @@ TEST(IgqEngineTest, ParallelVerifyEquivalent) {
   }
 }
 
-TEST(IgqEngineTest, ParallelProbesEquivalent) {
-  GraphDatabase db = MakeDb(17);
-  auto m1 = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  auto m2 = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  m1->Build(db);
-  m2->Build(db);
-  IgqOptions sequential;
-  IgqOptions threaded;
-  threaded.parallel_probes = true;
-  QueryEngine a(db, m1.get(), sequential);
-  QueryEngine b(db, m2.get(), threaded);
-  const std::vector<Graph> workload = MakeNestedWorkload(db, 31, 25);
-  for (const Graph& query : workload) {
-    EXPECT_EQ(a.Process(query), b.Process(query));
-  }
-}
-
 TEST(IgqEngineTest, MetadataCreditsAccumulate) {
   GraphDatabase db = MakeDb(23);
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");

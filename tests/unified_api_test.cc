@@ -326,25 +326,6 @@ TEST(SupergraphParityTest, ParallelVerifyEquivalent) {
   }
 }
 
-TEST(SupergraphParityTest, ParallelProbesEquivalent) {
-  GraphDatabase db = MakeDb(53, 18);
-  FeatureCountSupergraphMethod m1;
-  FeatureCountSupergraphMethod m2;
-  m1.Build(db);
-  m2.Build(db);
-  IgqOptions sequential;
-  IgqOptions threaded;
-  threaded.parallel_probes = true;
-  QueryEngine a(db, &m1, sequential);
-  QueryEngine b(db, &m2, threaded);
-  Rng rng(54);
-  for (int round = 0; round < 12; ++round) {
-    const Graph query = RandomConnectedGraph(rng, 16 + rng.Below(10),
-                                             8 + rng.Below(8), 3);
-    EXPECT_EQ(a.Process(query), b.Process(query)) << "round " << round;
-  }
-}
-
 TEST(SupergraphParityTest, EmptyAnswerShortcut) {
   // Dataset graphs are all larger than the queries, so no dataset graph can
   // be contained in them: supergraph answers are empty. After the first
