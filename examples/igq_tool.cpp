@@ -41,7 +41,8 @@
 //       sharded cache (ConcurrentQueryEngine) and report throughput and
 //       cache-assist rate; --verify replays the stream on the sequential
 //       engine and fails on any answer divergence, --save snapshots the
-//       sharded cache afterwards. The lifecycle flags (all off by
+//       cache afterwards (with --shards=1, `load` restores it into the
+//       sequential engine). The lifecycle flags (all off by
 //       default — every query is then unlimited) give
 //       every query a wall-clock deadline / search-state cap and enable
 //       admission control at the given cost watermark; budgeted runs
@@ -497,7 +498,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       std::fprintf(stderr, "snapshot failed: %s\n", error.c_str());
       return 1;
     }
-    std::printf("sharded-cache snapshot written to %s\n", save_path.c_str());
+    std::printf("snapshot written to %s\n", save_path.c_str());
   }
   return 0;
 }

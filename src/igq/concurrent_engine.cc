@@ -23,9 +23,6 @@
 namespace igq {
 namespace {
 
-constexpr CacheSection kShardedCacheSection{snapshot::kSectionShardedCache,
-                                           "sharded-cache"};
-
 // One §5.1 prune credit, addressed by the probe session's Hit.
 struct PendingCredit {
   ShardedQueryCache::Hit hit;
@@ -184,20 +181,26 @@ void ConcurrentQueryEngine::Execute(const Graph& query,
   // fast path never computes (docs/CONCURRENCY.md, "what may differ").
   const size_t query_nodes = query.NumVertices();
   std::string canonical;
+  auto exact_hit = [&] {
+    auto credit_of = [&](std::span<const GraphId> answer) {
+      return ShardedQueryCache::Credit{
+          answer.size(), SumIsomorphismCosts(*db_, method_->Direction(),
+                                             query_nodes, answer)};
+    };
+    if (!cache_->TryExactHit(canonical, credit_of, &result->answer)) {
+      return false;
+    }
+    if (stats != nullptr) {
+      stats->shortcut = ShortcutKind::kExactHit;
+      stats->answer_size = result->answer.size();
+    }
+    return true;
+  };
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kFastPath);
     ScopedTimer probe_timer(probe_sink);
     canonical = GraphCanonicalCode(query);
-    auto cost_of = [this, query_nodes](std::span<const GraphId> ids) {
-      return SumIsomorphismCosts(*db_, method_->Direction(), query_nodes, ids);
-    };
-    if (cache_->TryExactHit(canonical, cost_of, &result->answer)) {
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kExactHit;
-        stats->answer_size = result->answer.size();
-      }
-      return;
-    }
+    if (exact_hit()) return;
   }
 
   // Stage: admission, for limited fast-path misses only — exact hits are
@@ -281,10 +284,11 @@ void ConcurrentQueryEngine::Execute(const Graph& query,
   // unwinding — wake the parked followers (with the answer, or failed),
   // then unregister the key. Unregistration comes last and AFTER Insert has
   // registered the key in the cache's canonical map, so a stream arriving
-  // in any interleaving either coalesces, or fast-path-hits; it never
-  // re-runs a completed pipeline. Partial answers are leader-private (a
-  // follower coalescing one would mistake a subset for the full answer), so
-  // a stopped leader publishes nothing.
+  // in any interleaving either coalesces, or hits the key — at its fast
+  // path, or at the re-check below when it registers only after this
+  // leader unregistered; it never re-runs a completed pipeline. Partial
+  // answers are leader-private (a follower coalescing one would mistake a
+  // subset for the full answer), so a stopped leader publishes nothing.
   struct PublishGuard {
     ConcurrentQueryEngine* engine;
     const std::string* key;  // null: not a leader, guard is a no-op
@@ -311,6 +315,14 @@ void ConcurrentQueryEngine::Execute(const Graph& query,
     }
   };
   PublishGuard publish{this, leader ? &canonical : nullptr, inflight.get()};
+
+  // A leader of this key may have inserted and unregistered between this
+  // stream's fast-path miss and its registration: look the key up once
+  // more before running the pipeline a second time.
+  if (leader && exact_hit()) {
+    publish.Publish(result->answer);
+    return;
+  }
 
   pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
 
@@ -502,22 +514,16 @@ std::vector<BatchResult> ConcurrentQueryEngine::ProcessConcurrent(
 
 bool ConcurrentQueryEngine::SaveSnapshot(std::ostream& out,
                                          std::string* error) const {
-  return SaveEngineSnapshot(out, *db_, *method_, *cache_,
-                            kShardedCacheSection, error);
+  return SaveEngineSnapshot(out, *db_, *method_, *cache_, error);
 }
 
 bool ConcurrentQueryEngine::LoadSnapshot(std::istream& in, std::string* error,
                                          SnapshotLoadInfo* info) {
   auto fresh_cache =
       std::make_unique<ShardedQueryCache>(options_, db_->graphs.size());
-  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache,
-                          kShardedCacheSection, error, info)) {
+  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache, error, info)) {
     return false;
   }
-  // Snapshots carry compacted answers (no entry references a tombstoned
-  // dataset graph), so the restored cache's dead set restarts from the
-  // database's tombstones — future removals extend it from there.
-  fresh_cache->SeedDeadIds(db_->tombstones, db_->graphs.size());
   cache_ = std::move(fresh_cache);
   return true;
 }

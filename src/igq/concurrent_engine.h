@@ -111,9 +111,9 @@ class ConcurrentQueryEngine {
                                              size_t streams,
                                              const BatchOptions& batch = {});
 
-  /// Writes a warm-start snapshot: the sharded cache state (its own
-  /// section id — sequential and sharded snapshots are not interchangeable,
-  /// the geometry differs) and the method index when the method supports
+  /// Writes a warm-start snapshot: the cache state — the same section the
+  /// sequential engine writes, so with cache_shards = 1 either engine loads
+  /// the other's snapshot — and the method index when the method supports
   /// persistence. Requires quiescence: no concurrent Process calls.
   bool SaveSnapshot(std::ostream& out, std::string* error = nullptr) const;
 
@@ -132,10 +132,9 @@ class ConcurrentQueryEngine {
   /// makes mutating `db.graphs` — a vector whose growth reallocates —
   /// safe under concurrent readers. Behind the gate: database first, then
   /// the method (incremental hooks, full Build fallback), then the sharded
-  /// cache, patched rather than flushed — removed graphs mark affected
-  /// entries dark for the deferred maintenance pass, added graphs join the
-  /// cached answers they belong to. See QueryEngine::ApplyMutation and
-  /// docs/CONCURRENCY.md.
+  /// cache, patched rather than flushed — removed graphs leave the cached
+  /// answers that held them, added graphs join the cached answers they
+  /// belong to. See QueryEngine::ApplyMutation and docs/CONCURRENCY.md.
   MutationResult ApplyMutation(GraphDatabase& db,
                                const GraphMutation& mutation);
 

@@ -1,5 +1,6 @@
 #include "igq/engine.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/timer.h"
@@ -10,11 +11,16 @@
 namespace igq {
 namespace {
 
-constexpr CacheSection kCacheSection{snapshot::kSectionCache, "cache"};
+// The sequential engine runs the shared cache as one shard.
+IgqOptions OneShardOptions(const IgqOptions& options) {
+  IgqOptions one_shard = ValidatedIgqOptions(options);
+  one_shard.cache_shards = 1;
+  return one_shard;
+}
 
 // One §5.1 prune credit, buffered until the query commits.
 struct PendingCredit {
-  size_t position;
+  ShardedQueryCache::Hit hit;
   uint64_t removed;
   LogValue cost;
 };
@@ -25,8 +31,8 @@ QueryEngine::QueryEngine(const GraphDatabase& db, Method* method,
                          const IgqOptions& options)
     : db_(&db),
       method_(method),
-      options_(ValidatedIgqOptions(options)),
-      cache_(std::make_unique<QueryCache>(options_, db.graphs.size())),
+      options_(OneShardOptions(options)),
+      cache_(std::make_unique<ShardedQueryCache>(options_, db.graphs.size())),
       pool_(options_.verify_threads) {}
 
 QueryEngine::~QueryEngine() = default;
@@ -110,55 +116,47 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   if (control.ChargeCandidates(candidates.size())) return stop(false, {});
 
   // Stage 2 (Fig. 6): the cache lookup. The canonical-key exact-hit fast
-  // path comes first: one hash probe of the key map. Only on a key miss
-  // does the feature extraction + index probe run — an exact hit therefore
-  // performs zero isomorphism tests. The filter ran either way: its
-  // candidate count feeds the §5.1 exact-hit credit below, which keeps
-  // eviction trajectories (and the fig09/fig15 cells) identical to the
-  // pre-key isomorphism path. With the cache disabled the probe finds
-  // nothing, so every candidate goes on to verification.
+  // path comes first: one hash probe of the key map, which covers flushed
+  // and window entries alike. Only on a key miss does the feature
+  // extraction + index probe run — an exact hit therefore performs zero
+  // isomorphism tests. The filter ran either way: an exact hit is credited
+  // with the filtered candidates it saved verifying (§5.1 R and C), not
+  // with its answer. With the cache disabled there is no probe, so every
+  // candidate goes on to verification.
   const size_t query_nodes = query.NumVertices();
-  CacheProbe probe;
+  const QueryDirection direction = method_->Direction();
+  std::optional<ShardedQueryCache::ProbeSession> session;
   std::string canonical;
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
-    size_t exact_position = SIZE_MAX;
     {
       ScopedTimer probe_timer(probe_sink);
       canonical = GraphCanonicalCode(query);
-      exact_position = cache_->FindExactByKey(canonical);
-      if (exact_position == SIZE_MAX) {
-        probe = cache_->Probe(query, cache_->ExtractFeatures(query));
+      auto credit_of = [&](std::span<const GraphId>) {
+        return ShardedQueryCache::Credit{
+            candidates.size(),
+            SumIsomorphismCosts(*db_, direction, query_nodes, candidates)};
+      };
+      // §4.3 case 1: identical (isomorphic) previous query — return its
+      // answer outright; TryExactHit commits the hit (clock tick, credit).
+      if (cache_->TryExactHit(canonical, credit_of, &result->answer)) {
+        if (stats != nullptr) {
+          stats->shortcut = ShortcutKind::kExactHit;
+          stats->answer_size = result->answer.size();
+        }
+        return;
       }
+      // The key map holds every entry the probe scans, so the probe's own
+      // §4.3 exact match cannot fire here: only containments remain.
+      session.emplace(cache_->Probe(query, cache_->ExtractFeatures(query)));
     }
     // A stop during the probe makes its results garbage (an interrupted
     // containment search aliases to a hit/miss) — abort without facts.
     if (control.CheckNow()) return stop(false, {});
     if (stats != nullptr) {
-      stats->probe_iso_tests = probe.probe_iso_tests;
-      stats->isub_hits = probe.supergraph_positions.size();
-      stats->isuper_hits = probe.subgraph_positions.size();
-    }
-
-    // §4.3 case 1: identical (isomorphic) previous query — return its
-    // answer outright. The probe fallback covers only the key map and the
-    // probe disagreeing, which the canonicalization test suite rules out
-    // (the key map holds exactly the flushed entries the probe scans).
-    if (exact_position == SIZE_MAX) exact_position = probe.exact_position;
-    if (exact_position != SIZE_MAX) {
-      // The query completes here: tick its clock, then the single-site
-      // §5.1 credit.
-      cache_->RecordQueryProcessed();
-      cache_->CreditExactHit(exact_position, candidates.size(),
-                             SumIsomorphismCosts(*db_, method_->Direction(),
-                                                 query_nodes, candidates));
-      result->answer = cache_->entries()[exact_position].answer.ToVector();
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kExactHit;
-        stats->candidates_final = 0;
-        stats->answer_size = result->answer.size();
-      }
-      return;
+      stats->probe_iso_tests = session->probe_iso_tests();
+      stats->isub_hits = session->supergraph_hits().size();
+      stats->isuper_hits = session->subgraph_hits().size();
     }
   }
 
@@ -167,18 +165,20 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   // intersect the candidate set (formula (5)). For supergraph queries the
   // roles swap: cached subgraphs G ⊆ g guarantee (Gi ⊆ G ⊆ g), cached
   // supergraphs g ⊆ G intersect (Gi ⊆ g implies Gi ⊆ G).
-  const bool subgraph_query =
-      method_->Direction() == QueryDirection::kSubgraph;
-  const std::vector<size_t>& guarantee_positions =
-      subgraph_query ? probe.supergraph_positions : probe.subgraph_positions;
-  const std::vector<size_t>& intersect_positions =
-      subgraph_query ? probe.subgraph_positions : probe.supergraph_positions;
+  const bool subgraph_query = direction == QueryDirection::kSubgraph;
+  std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
+  if (session.has_value()) {
+    guarantee_hits =
+        subgraph_query ? session->supergraph_hits() : session->subgraph_hits();
+    intersect_hits =
+        subgraph_query ? session->subgraph_hits() : session->supergraph_hits();
+  }
 
-  // §5.1 credits are buffered during prune and applied at commit. Nothing
-  // reads the cache between the two on a single stream, so this costs the
-  // unlimited query nothing and lets a stopped one leave no trace. Costs are
-  // computed inside the callback (the removed span is only scratch-valid
-  // there).
+  // §5.1 credits are buffered during prune and applied at commit, while the
+  // probe session still pins the entries. Nothing reads the cache between
+  // the two on a single stream, so this costs the unlimited query nothing
+  // and lets a stopped one leave no trace. Costs are computed inside the
+  // callback (the removed span is only scratch-valid there).
   std::vector<PendingCredit> pending_credits;
   // The prune scratch (and the outcome inside it) is this thread's; it
   // stays valid through verification and answer assembly below.
@@ -186,23 +186,22 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   {
     ScopedTimer prune_timer(probe_sink);
     std::vector<const CachedQuery*> guarantee, intersect;
-    guarantee.reserve(guarantee_positions.size());
-    for (size_t position : guarantee_positions) {
-      guarantee.push_back(&cache_->entries()[position]);
+    guarantee.reserve(guarantee_hits.size());
+    for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
+      guarantee.push_back(&session->entry(hit));
     }
-    intersect.reserve(intersect_positions.size());
-    for (size_t position : intersect_positions) {
-      intersect.push_back(&cache_->entries()[position]);
+    intersect.reserve(intersect_hits.size());
+    for (const ShardedQueryCache::Hit& hit : intersect_hits) {
+      intersect.push_back(&session->entry(hit));
     }
     PruneCandidates(
         candidates, guarantee, intersect,
         [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
           pending_credits.push_back(
-              {side == PruneSide::kGuarantee ? guarantee_positions[index]
-                                             : intersect_positions[index],
+              {side == PruneSide::kGuarantee ? guarantee_hits[index]
+                                             : intersect_hits[index],
                removed.size(),
-               SumIsomorphismCosts(*db_, method_->Direction(), query_nodes,
-                                   removed)});
+               SumIsomorphismCosts(*db_, direction, query_nodes, removed)});
         },
         prune_scratch, limit);
   }
@@ -244,23 +243,24 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   if (options_.enabled) {
     cache_->RecordQueryProcessed();
     for (const PendingCredit& credit : pending_credits) {
-      cache_->CreditHit(credit.position);
-      cache_->CreditPrune(credit.position, credit.removed, credit.cost);
+      session->CreditHit(credit.hit);
+      session->CreditPrune(credit.hit, credit.removed, credit.cost);
     }
+    // Insert takes the shard lock exclusively; the session holds it shared.
+    session.reset();
     cache_->Insert(query, result->answer, std::move(canonical));
   }
 }
 
 bool QueryEngine::SaveSnapshot(std::ostream& out, std::string* error) const {
-  return SaveEngineSnapshot(out, *db_, *method_, *cache_, kCacheSection,
-                            error);
+  return SaveEngineSnapshot(out, *db_, *method_, *cache_, error);
 }
 
 bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
                                SnapshotLoadInfo* info) {
-  auto fresh_cache = std::make_unique<QueryCache>(options_, db_->graphs.size());
-  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache, kCacheSection,
-                          error, info)) {
+  auto fresh_cache =
+      std::make_unique<ShardedQueryCache>(options_, db_->graphs.size());
+  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache, error, info)) {
     return false;
   }
   cache_ = std::move(fresh_cache);

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "igq/cache.h"
 #include "igq/mutation.h"
 #include "igq/options.h"
+#include "igq/sharded_cache.h"
 #include "igq/verify_pool.h"
 #include "methods/method.h"
 #include "serving/budget.h"
@@ -129,8 +129,9 @@ class QueryEngine {
  public:
   /// `db` and `method` must outlive the engine; `method` must be
   /// Build()-ed on `db` — or restored via LoadSnapshot() — before the
-  /// first query. `options` is validated (see ValidatedIgqOptions); the
-  /// clamped values are visible through options().
+  /// first query. `options` is validated (see ValidatedIgqOptions) and
+  /// cache_shards set to 1 — the engine runs the cache as one shard; the
+  /// resulting values are visible through options().
   QueryEngine(const GraphDatabase& db, Method* method,
               const IgqOptions& options);
   ~QueryEngine();
@@ -181,8 +182,10 @@ class QueryEngine {
   /// Not thread-safe against concurrent Process/ProcessBatch calls.
   bool SaveSnapshot(std::ostream& out, std::string* error = nullptr) const;
 
-  /// Restores a snapshot produced by SaveSnapshot(). The engine must use
-  /// the same IgqOptions and method configuration as the producer — cache
+  /// Restores a snapshot produced by SaveSnapshot() — or by a
+  /// ConcurrentQueryEngine running one cache shard, or an older build's
+  /// sequential engine (docs/FORMATS.md). The engine must use the same
+  /// IgqOptions and method configuration as the producer — cache
   /// geometry/policy and index configuration mismatches are rejected;
   /// after a successful load it answers a query stream identically (same
   /// answers, hit/miss sequence, and replacement victims) to the
@@ -220,8 +223,8 @@ class QueryEngine {
   durability::WalWriter* wal() const { return wal_; }
 
   QueryDirection direction() const { return method_->Direction(); }
-  const QueryCache& cache() const { return *cache_; }
-  QueryCache& mutable_cache() { return *cache_; }
+  const ShardedQueryCache& cache() const { return *cache_; }
+  ShardedQueryCache& mutable_cache() { return *cache_; }
   const IgqOptions& options() const { return options_; }
 
  private:
@@ -237,7 +240,7 @@ class QueryEngine {
   const GraphDatabase* db_;
   Method* method_;
   IgqOptions options_;
-  std::unique_ptr<QueryCache> cache_;
+  std::unique_ptr<ShardedQueryCache> cache_;
   VerifyPool pool_;  // no workers when verify_threads == 1: runs inline
   durability::WalWriter* wal_ = nullptr;  // not owned; see AttachWal
   serving::OutcomeAccumulator outcomes_;

@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "durability/wal.h"
-#include "igq/cache.h"
-#include "igq/sharded_cache.h"
 #include "snapshot/mutation_state.h"
 #include "snapshot/serializer.h"
 #include "snapshot/snapshot.h"
@@ -18,10 +16,9 @@ void SetError(std::string* error, const std::string& message) {
 
 }  // namespace
 
-template <typename Cache>
 bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
-                        const Method& method, const Cache& cache,
-                        CacheSection section, std::string* error) {
+                        const Method& method, const ShardedQueryCache& cache,
+                        std::string* error) {
   snapshot::WriteSnapshotHeader(out);
 
   std::ostringstream cache_payload;
@@ -30,12 +27,12 @@ bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
     cache.Save(writer, db.graphs.size(),
                snapshot::DatasetFingerprint(db.graphs));
     if (!writer.ok()) {
-      SetError(error, std::string("failed to serialize ") + section.name +
-                          " state");
+      SetError(error, "failed to serialize cache state");
       return false;
     }
   }
-  snapshot::WriteSection(out, section.id, std::move(cache_payload).str());
+  snapshot::WriteSection(out, snapshot::kSectionCache,
+                         std::move(cache_payload).str());
 
   // The method index rides along when the method supports persistence; the
   // method name prefixes the payload so a mismatched load is caught early.
@@ -67,11 +64,9 @@ bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
   return true;
 }
 
-template <typename Cache>
 bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
-                        Method& method, Cache& fresh_cache,
-                        CacheSection section, std::string* error,
-                        SnapshotLoadInfo* info) {
+                        Method& method, ShardedQueryCache& fresh_cache,
+                        std::string* error, SnapshotLoadInfo* info) {
   if (info != nullptr) *info = SnapshotLoadInfo{};
   // Each failure path classifies itself (SnapshotErrorKind) so callers can
   // tell damaged bytes, version skew, and dataset divergence apart.
@@ -86,15 +81,20 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
   // so a file corrupted anywhere is rejected without side effects.
   std::string cache_payload, index_payload, mutation_payload;
   bool have_cache = false, have_index = false, have_mutation = false;
+  // Older sequential engines wrote their cache state as a one-shard
+  // section: the same payload without the shard count.
+  bool one_shard_layout = false;
   for (;;) {
     snapshot::Section read;
     if (!snapshot::ReadSection(in, &read, error, &kind)) {
       return classify(kind);
     }
     if (read.id == snapshot::kSectionEnd) break;
-    if (read.id == section.id) {
+    if (read.id == snapshot::kSectionCache ||
+        read.id == snapshot::kSectionOneShardCache) {
       cache_payload = std::move(read.payload);
       have_cache = true;
+      one_shard_layout = read.id == snapshot::kSectionOneShardCache;
     } else if (read.id == snapshot::kSectionMethodIndex) {
       index_payload = std::move(read.payload);
       have_index = true;
@@ -102,9 +102,8 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
       mutation_payload = std::move(read.payload);
       have_mutation = true;
     }
-    // Unknown section ids — including the other engine's cache section,
-    // whose geometry cannot match this cache — are skipped: they are
-    // checksum-verified data, not corruption.
+    // Unknown section ids are skipped: they are checksum-verified data, not
+    // corruption.
   }
   // The end marker itself carries no checksum, so a section id corrupted
   // into 0 would silently drop the file's tail — require EOF behind it.
@@ -113,8 +112,7 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
     return classify(snapshot::SnapshotErrorKind::kCorrupt);
   }
   if (!have_cache) {
-    SetError(error, std::string("snapshot has no ") + section.name +
-                        " section");
+    SetError(error, "snapshot has no cache section");
     return classify(snapshot::SnapshotErrorKind::kCorrupt);
   }
 
@@ -175,10 +173,11 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
   // Same forged-length arming as the mutation section above.
   cache_reader.LimitRemainingBytes(cache_payload_size);
   if (!fresh_cache.Load(cache_reader, db.graphs.size(),
-                        snapshot::DatasetFingerprint(db.graphs))) {
-    SetError(error, std::string(section.name) +
-                        " section rejected (malformed, saved under different "
-                        "iGQ options, or over a different dataset)");
+                        snapshot::DatasetFingerprint(db.graphs),
+                        /*with_shard_count=*/!one_shard_layout)) {
+    SetError(error,
+             "cache section rejected (malformed, saved under different iGQ "
+             "options, or over a different dataset)");
     // The payload passed its checksum, so the bytes are as written — the
     // mismatch is with this engine's dataset or configuration.
     return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
@@ -219,9 +218,9 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
   return true;
 }
 
-template <typename Cache>
 MutationResult ApplyEngineMutation(GraphDatabase& db, Method& method,
-                                   Cache& cache, durability::WalWriter* wal,
+                                   ShardedQueryCache& cache,
+                                   durability::WalWriter* wal,
                                    const GraphMutation& mutation) {
   MutationResult result;
   // The no-op check runs BEFORE the WAL append, so every logged record
@@ -254,26 +253,5 @@ MutationResult ApplyEngineMutation(GraphDatabase& db, Method& method,
   result.epoch = db.mutation_epoch;
   return result;
 }
-
-template bool SaveEngineSnapshot(std::ostream&, const GraphDatabase&,
-                                 const Method&, const QueryCache&,
-                                 CacheSection, std::string*);
-template bool SaveEngineSnapshot(std::ostream&, const GraphDatabase&,
-                                 const Method&, const ShardedQueryCache&,
-                                 CacheSection, std::string*);
-template bool LoadEngineSnapshot(std::istream&, const GraphDatabase&, Method&,
-                                 QueryCache&, CacheSection, std::string*,
-                                 SnapshotLoadInfo*);
-template bool LoadEngineSnapshot(std::istream&, const GraphDatabase&, Method&,
-                                 ShardedQueryCache&, CacheSection,
-                                 std::string*, SnapshotLoadInfo*);
-template MutationResult ApplyEngineMutation(GraphDatabase&, Method&,
-                                            QueryCache&,
-                                            durability::WalWriter*,
-                                            const GraphMutation&);
-template MutationResult ApplyEngineMutation(GraphDatabase&, Method&,
-                                            ShardedQueryCache&,
-                                            durability::WalWriter*,
-                                            const GraphMutation&);
 
 }  // namespace igq

@@ -9,11 +9,7 @@ namespace igq {
 void IsubIndex::Build(const std::vector<CachedQuery>& cached) {
   cached_ = &cached;
   trie_ = PathTrie(/*store_locations=*/false);
-  // Tombstoned entries get no postings, so they can never surface as
-  // candidates (mirrors IsuperIndex::Build — a dark entry must not rejoin
-  // the probe path through a shadow rebuild before compaction).
   for (size_t i = 0; i < cached.size(); ++i) {
-    if (cached[i].tombstoned) continue;
     std::map<PathKey, uint32_t> features;
     EnumeratePaths(cached[i].graph, options_,
                    [&features](PathKey key, VertexId) { ++features[key]; });

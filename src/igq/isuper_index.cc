@@ -8,14 +8,7 @@ namespace igq {
 void IsuperIndex::Build(const std::vector<CachedQuery>& cached) {
   cached_ = &cached;
   index_ = FeatureCountIndex(index_.options());
-  // Tombstoned entries are skipped: without this, a shadow rebuild racing a
-  // removal would re-admit the dark entry as a probe source, and in the
-  // supergraph direction its stale answer would be UNIONED into results —
-  // resurfacing the removed graph. A skipped position gets no postings and
-  // its NF row stays at the never-matches sentinel, so it can never come
-  // back as a candidate; its plan stays default-constructed (never probed).
   for (size_t i = 0; i < cached.size(); ++i) {
-    if (cached[i].tombstoned) continue;
     index_.AddGraph(static_cast<GraphId>(i), cached[i].graph);
   }
   // Probe-test patterns: the cached graphs' search plans are
@@ -24,7 +17,6 @@ void IsuperIndex::Build(const std::vector<CachedQuery>& cached) {
   cached_plans_.clear();
   cached_plans_.resize(cached.size());
   for (size_t i = 0; i < cached.size(); ++i) {
-    if (cached[i].tombstoned) continue;
     cached_plans_[i].Compile(cached[i].graph);
   }
 }

@@ -38,11 +38,11 @@ struct IgqOptions {
   /// Worker threads for the verification stage (Grapes(6) configs use 6).
   size_t verify_threads = 1;
 
-  /// Shard count of the concurrent cache (ConcurrentQueryEngine /
-  /// ShardedQueryCache only; the sequential QueryCache ignores it). Cached
-  /// queries partition by structural graph hash into this many
-  /// independently-locked shards; capacity and window divide evenly across
-  /// them (each shard gets the ceiling share, at least 1). More shards mean
+  /// Shard count of the query cache under ConcurrentQueryEngine (the
+  /// sequential QueryEngine always runs one shard). Cached queries
+  /// partition by structural graph hash into this many independently-locked
+  /// shards; capacity and window divide evenly across them (each shard
+  /// gets the ceiling share, at least 1). More shards mean
   /// less writer contention and smaller per-flush rebuilds; probes always
   /// consult every shard, so past ~2× the stream count the returns flatten.
   /// Clamped to [1, cache_capacity] — see docs/CONCURRENCY.md.

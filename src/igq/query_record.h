@@ -47,21 +47,13 @@ struct QueryGraphMetadata {
 struct CachedQuery {
   uint64_t id = 0;
   Graph graph;
-  /// GraphCanonicalCode(graph): the isomorphism-complete key the caches'
-  /// exact-hit maps use, so an exact hit is one hash lookup instead of a
+  /// GraphCanonicalCode(graph): the isomorphism-complete key the cache's
+  /// exact-hit map uses, so an exact hit is one hash lookup instead of a
   /// probe plus isomorphism test. Persisted in snapshot record version 2;
   /// recomputed from `graph` when loading older snapshots (docs/FORMATS.md).
   std::string canonical;
   IdSet answer;
   QueryGraphMetadata meta;
-  /// Lazy-removal marker (sharded cache only): set when a dataset graph in
-  /// `answer` is removed. A tombstoned entry is dark — skipped by probes
-  /// AND by the Isub/Isuper probe-index rebuilds — until the next gated
-  /// maintenance pass compacts its answer (answer \ dead set) and clears
-  /// the flag. Never serialized: snapshots write compacted answers instead
-  /// (docs/FORMATS.md). The single-stream QueryCache patches eagerly and
-  /// never sets it.
-  bool tombstoned = false;
 };
 
 }  // namespace igq

@@ -5,18 +5,102 @@
 
 #include "common/timer.h"
 #include "features/canonical.h"
-#include "igq/cache.h"
 #include "isomorphism/match_core.h"
 #include "snapshot/serializer.h"
 
 namespace igq {
 namespace {
 
-/// Payload version of the serialized sharded-cache state. Version 2 added
-/// the canonical key to every cached-query record; version-1 payloads are
-/// still accepted, with the keys recomputed on load.
-constexpr uint32_t kShardedCacheStateVersion = 2;
-constexpr uint32_t kShardedCacheStateVersionNoCanonical = 1;
+/// Payload version of the serialized cache state. Version 2 added the
+/// canonical key to every cached-query record; version-1 payloads are
+/// still accepted, with the keys recomputed on load (docs/FORMATS.md).
+constexpr uint32_t kCacheStateVersion = 2;
+constexpr uint32_t kCacheStateVersionNoCanonical = 1;
+
+/// Serializes one cached-query record (graph, canonical key, sorted answer,
+/// §5.1 metadata) in snapshot record version 2 (docs/FORMATS.md).
+void SaveCachedQuery(snapshot::BinaryWriter& writer,
+                     const CachedQuery& record) {
+  writer.WriteU64(record.id);
+  snapshot::WriteGraph(writer, record.graph);
+  writer.WriteString(record.canonical);
+  // Answers are written as sorted id arrays regardless of their in-memory
+  // representation (docs/FORMATS.md): the encoding predates the adaptive
+  // IdSet and stays byte-identical.
+  writer.WriteU64(record.answer.size());
+  record.answer.ForEach([&writer](GraphId id) { writer.WriteU32(id); });
+  writer.WriteU64(record.meta.hits);
+  writer.WriteU64(record.meta.inserted_at);
+  writer.WriteU64(record.meta.removed_candidates);
+  writer.WriteDouble(record.meta.cost_saved.log());
+  writer.WriteU64(record.meta.last_hit_at);
+}
+
+/// Restores a record written by SaveCachedQuery. `with_canonical` selects
+/// the record version: true reads the stored canonical key (version 2 —
+/// trusted, the section CRC already vouches for it), false recomputes it
+/// from the graph (version-1 records from pre-key snapshots). Returns false
+/// on malformed bytes, an answer id outside [0, num_graphs), or an unsorted
+/// answer.
+bool LoadCachedQuery(snapshot::BinaryReader& reader, CachedQuery* record,
+                     uint64_t num_graphs, bool with_canonical) {
+  if (!reader.ReadU64(&record->id)) return false;
+  if (!snapshot::ReadGraph(reader, &record->graph)) return false;
+  if (with_canonical) {
+    if (!reader.ReadString(&record->canonical)) return false;
+  } else {
+    // Version-1 record: the key did not exist yet; derive it so older
+    // snapshots restore into a fully keyed cache.
+    record->canonical = GraphCanonicalCode(record->graph);
+  }
+  uint64_t answer_size = 0;
+  if (!reader.ReadU64(&answer_size)) return false;
+  std::vector<GraphId> answer_ids;
+  answer_ids.reserve(static_cast<size_t>(std::min<uint64_t>(answer_size, 1024)));
+  for (uint64_t i = 0; i < answer_size; ++i) {
+    uint32_t id = 0;
+    if (!reader.ReadU32(&id)) return false;
+    if (id >= num_graphs) return false;  // answer ids index the dataset
+    if (i > 0 && id <= answer_ids.back()) {
+      return false;  // answers must be sorted ascending, no duplicates
+    }
+    answer_ids.push_back(id);
+  }
+  // Validated sorted-unique above; the in-memory representation re-adapts
+  // to the restored answer's density.
+  record->answer =
+      IdSet::FromSortedUnique(std::move(answer_ids), num_graphs);
+  double cost_saved_log = 0;
+  if (!reader.ReadU64(&record->meta.hits) ||
+      !reader.ReadU64(&record->meta.inserted_at) ||
+      !reader.ReadU64(&record->meta.removed_candidates) ||
+      !reader.ReadDouble(&cost_saved_log) ||
+      !reader.ReadU64(&record->meta.last_hit_at)) {
+    return false;
+  }
+  record->meta.cost_saved = LogValue::FromLog(cost_saved_log);
+  return true;
+}
+
+/// §5.1 eviction score of `entry` under `policy` when the global query
+/// counter reads `now`: lower evicts first (kUtility is U(g) = C(g)/M(g) in
+/// log space; the alternatives back the replacement ablation bench).
+double EvictionScore(ReplacementPolicy policy, const CachedQuery& entry,
+                     uint64_t now) {
+  const QueryGraphMetadata& meta = entry.meta;
+  switch (policy) {
+    case ReplacementPolicy::kUtility:
+      return meta.Utility(now).log();
+    case ReplacementPolicy::kPopularity:
+      return static_cast<double>(meta.hits) /
+             static_cast<double>(meta.QueriesSinceInsertion(now));
+    case ReplacementPolicy::kLru:
+      return static_cast<double>(meta.last_hit_at);
+    case ReplacementPolicy::kFifo:
+      return static_cast<double>(entry.id);
+  }
+  return 0.0;
+}
 
 }  // namespace
 
@@ -119,19 +203,14 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     if (shard.entries->empty()) continue;
-    // Entries marked dark since the last shadow rebuild still have postings
-    // in the current indexes; drop them here (a dark entry's answer may
-    // hold a removed graph until compaction).
     shard.isub.FindSupergraphsOf(query, query_features, &positions,
                                  &session.probe_iso_tests_);
     for (size_t position : positions) {
-      if ((*shard.entries)[position].tombstoned) continue;
       session.supergraph_hits_.push_back(Hit{s, position});
     }
     shard.isuper.FindSubgraphsOf(query, query_features, &positions,
                                  &session.probe_iso_tests_);
     for (size_t position : positions) {
-      if ((*shard.entries)[position].tombstoned) continue;
       session.subgraph_hits_.push_back(Hit{s, position});
     }
   }
@@ -162,7 +241,7 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
 
 bool ShardedQueryCache::TryExactHit(
     const std::string& canonical,
-    const std::function<LogValue(std::span<const GraphId>)>& cost_of,
+    const std::function<Credit(std::span<const GraphId>)>& credit_of,
     std::vector<GraphId>* answer) {
   CanonicalRef ref;
   {
@@ -183,22 +262,20 @@ bool ShardedQueryCache::TryExactHit(
   } else if (ref.index < shard.entries->size()) {
     record = &(*shard.entries)[ref.index];
   }
-  if (record == nullptr || record->id != ref.id || record->tombstoned) {
-    return false;
-  }
+  if (record == nullptr || record->id != ref.id) return false;
   *answer = record->answer.ToVector();
-  const LogValue cost = cost_of(*answer);
+  const Credit credit = credit_of(*answer);
   // The hit completes the query: tick its clock, then credit, in the order
-  // QueryEngine commits an exact hit (RecordQueryProcessed, CreditExactHit).
+  // a probe-found exact hit commits (RecordQueryProcessed, CreditExactHit).
   RecordQueryProcessed();
-  // One §5.1 credit site, mirroring QueryCache::CreditExactHit: the shared
+  // One §5.1 credit site, as ProbeSession::CreditExactHit: the shared
   // structure lock pins the record, the credit mutex serializes the update.
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
   QueryGraphMetadata& meta = record->meta;
   ++meta.hits;
   meta.last_hit_at = queries_processed_.load(std::memory_order_relaxed);
-  meta.removed_candidates += answer->size();
-  meta.cost_saved += cost;
+  meta.removed_candidates += credit.removed;
+  meta.cost_saved += credit.cost;
   return true;
 }
 
@@ -218,23 +295,12 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
     // Concurrent streams can race the same query past the probe (both miss,
     // both insert). Structurally equal graphs always land in this shard, so
     // a scan of its entries and window suffices to keep the cache
-    // duplicate-free — the invariant the sequential cache gets from the
-    // exact-hit shortcut plus window dedup. The scan compares the cached
-    // 8-byte hashes; graphs are only compared on a hash match, keeping
-    // this exclusive section cheap even on full shards.
+    // duplicate-free. The scan compares the cached 8-byte hashes; graphs
+    // are only compared on a hash match, keeping this exclusive section
+    // cheap even on full shards.
     for (size_t i = 0; i < shard.entry_hashes.size(); ++i) {
       if (shard.entry_hashes[i] == query_hash &&
           (*shard.entries)[i].graph == query) {
-        // A dark duplicate is revived in place: the incoming answer is the
-        // engine's fresh result for this exact graph, so it replaces the
-        // stale one and the entry rejoins the probe path at the next shadow
-        // rebuild (metadata — and with it the §5.1 utility — survives).
-        // Without this, compaction would later surface a second copy.
-        CachedQuery& existing = (*shard.entries)[i];
-        if (existing.tombstoned) {
-          existing.answer = IdSet::FromIds(std::move(answer), universe_);
-          existing.tombstoned = false;
-        }
         return;
       }
     }
@@ -248,8 +314,8 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
     record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     record.graph = query;
     record.canonical = canonical;
-    // Shared normalization with QueryCache::Insert: sortedness detected in
-    // one pass (answers arrive sorted), representation picked adaptively.
+    // Sortedness is detected in one pass (answers arrive sorted) and the
+    // representation picked adaptively.
     record.answer = IdSet::FromIds(std::move(answer), universe_);
     record.meta.inserted_at =
         queries_processed_.load(std::memory_order_relaxed);
@@ -303,9 +369,10 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       const std::vector<CachedQuery>& entries = *shard.entries;
 
       // Eviction (§5.1) over a frozen metadata snapshot (the credit mutex
-      // blocks H/R/C updates while victims are chosen and copied). Same
-      // scoring as QueryCache::Flush: the incoming window always enters,
-      // only pre-existing entries compete, lowest score evicts first.
+      // blocks H/R/C updates while victims are chosen and copied). The
+      // incoming window always enters so fresh queries get a chance to
+      // accumulate utility; only pre-existing entries compete, lowest
+      // EvictionScore first.
       std::lock_guard<std::mutex> credits(shard.credit_mutex);
       const size_t target_old =
           shard_capacity_ > take ? shard_capacity_ - take : 0;
@@ -337,23 +404,6 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       for (size_t i = 0; i < take; ++i) {
         staged->push_back(shard.window[i]);
         staged_hashes.push_back(shard.window_hashes[i]);
-      }
-    }
-
-    // Deferred tombstone compaction, off-lock on the staged copies: dark
-    // survivors get their answers rewritten (answer \ dead set) and their
-    // flag cleared, so the fresh indexes below re-admit them — this is the
-    // point where a removal's lazy bookkeeping fully settles. Entries
-    // patched by ApplyGraphAdded while dark are already add-current, so
-    // the subtraction alone makes them fresh.
-    if (!dead_ids_.empty()) {
-      std::vector<GraphId> member_ids, live_ids;
-      for (CachedQuery& record : *staged) {
-        if (!record.tombstoned) continue;
-        record.answer.Materialize(&member_ids);
-        DifferenceSorted(member_ids, dead_ids_, &live_ids);
-        record.answer = IdSet::FromSortedUnique(live_ids, universe_);
-        record.tombstoned = false;
       }
     }
 
@@ -413,9 +463,8 @@ void ShardedQueryCache::ReindexShardCanonicals(size_t shard_index) {
     }
   }
   // Flushed entries before window, so within the shard the flushed copy of
-  // a key wins — mirroring the sequential cache, where only flushed entries
-  // are hittable at all. Keys owned by other shards are left alone
-  // (try_emplace): first registration wins across shards.
+  // a key wins. Keys owned by other shards are left alone (try_emplace):
+  // first registration wins across shards.
   const std::vector<CachedQuery>& entries = *shard.entries;
   for (size_t i = 0; i < entries.size(); ++i) {
     canonical_index_.try_emplace(entries[i].canonical,
@@ -432,96 +481,74 @@ void ShardedQueryCache::ReindexShardCanonicals(size_t shard_index) {
 void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
                                         QueryDirection direction) {
   universe_ = static_cast<size_t>(id) + 1;
-  if (!dead_ids_.empty()) {
-    dead_set_.AssignSortedUnique(dead_ids_, universe_);
-  }
-  // Direct containment tests instead of the probe indexes: entries marked
-  // or revived since the last shadow rebuild are invisible to the indexes,
-  // and a missed patch here would become a stale answer later. The quick
-  // size comparison rejects most non-relationships before any isomorphism
-  // work; both compiled halves live in this thread's match scratch.
-  MatchContext& ctx = MatchContext::ThreadLocal();
-  MatchPlan& plan = ctx.scratch_plan();
-  CsrGraphView& view = ctx.scratch_target();
   const bool subgraph = direction == QueryDirection::kSubgraph;
-  if (subgraph) {
-    view.Assign(graph);  // answer(q) = {G : q ⊆ G}: the new graph is target
-  } else {
-    plan.Compile(graph);  // answer(q) = {G : G ⊆ q}: the new graph is pattern
-  }
-  auto gains_id = [&](const Graph& cached) {
-    if (subgraph) {
-      if (cached.NumVertices() > graph.NumVertices() ||
-          cached.NumEdges() > graph.NumEdges()) {
-        return false;
-      }
-      plan.Compile(cached);
-      return PlanContains(plan, view, ctx);
-    }
-    if (graph.NumVertices() > cached.NumVertices() ||
-        graph.NumEdges() > cached.NumEdges()) {
-      return false;
-    }
-    view.Assign(cached);
-    return PlanContains(plan, view, ctx);
-  };
+  const PathFeatureCounts features = ExtractFeatures(graph);
   // Every answer is re-derived over the grown universe (the bitmap density
   // threshold moved with it); `id` is larger than every member, so a gained
   // id appends without disturbing sortedness.
-  auto repatch = [this, id, &gains_id](CachedQuery& record) {
+  auto repatch = [this, id](CachedQuery& record, bool gains_id) {
     std::vector<GraphId> ids = record.answer.ToVector();
-    if (gains_id(record.graph)) ids.push_back(id);
+    if (gains_id) ids.push_back(id);
     record.answer = IdSet::FromSortedUnique(std::move(ids), universe_);
   };
+  std::vector<size_t> affected;
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    for (CachedQuery& record : *shard->entries) repatch(record);
-    for (CachedQuery& record : shard->window) repatch(record);
+    std::vector<CachedQuery>& entries = *shard->entries;
+    // The probe indexes verify containment with PlanContains, so their
+    // results are exact relationships, not candidates.
+    if (subgraph) {
+      shard->isuper.FindSubgraphsOf(graph, features, &affected);
+    } else {
+      shard->isub.FindSupergraphsOf(graph, features, &affected);
+    }
+    std::vector<uint8_t> gains(entries.size(), 0);
+    for (size_t position : affected) gains[position] = 1;
+    for (size_t i = 0; i < entries.size(); ++i) repatch(entries[i], gains[i]);
+
+    // Window entries are invisible to the probe indexes until their flush;
+    // test them directly: q ⊆ graph (subgraph) or graph ⊆ q (supergraph).
+    // Both halves live in this thread's match scratch, which the probe
+    // above reuses, so the new graph's half is set up after it, once.
+    MatchContext& ctx = MatchContext::ThreadLocal();
+    MatchPlan& plan = ctx.scratch_plan();
+    CsrGraphView& view = ctx.scratch_target();
+    if (subgraph) {
+      view.Assign(graph);
+    } else {
+      plan.Compile(graph);
+    }
+    for (CachedQuery& queued : shard->window) {
+      const Graph& pattern = subgraph ? queued.graph : graph;
+      const Graph& target = subgraph ? graph : queued.graph;
+      bool gains_id = pattern.NumVertices() <= target.NumVertices() &&
+                      pattern.NumEdges() <= target.NumEdges();
+      if (gains_id) {
+        if (subgraph) {
+          plan.Compile(queued.graph);
+        } else {
+          view.Assign(queued.graph);
+        }
+        gains_id = PlanContains(plan, view, ctx);
+      }
+      repatch(queued, gains_id);
+    }
   }
 }
 
 void ShardedQueryCache::ApplyGraphRemoved(GraphId id) {
-  const auto it = std::lower_bound(dead_ids_.begin(), dead_ids_.end(), id);
-  if (it == dead_ids_.end() || *it != id) dead_ids_.insert(it, id);
-  dead_set_.AssignSortedUnique(dead_ids_, universe_);
-  std::vector<GraphId> member_ids, live_ids;
+  std::vector<GraphId> ids;
+  auto drop = [this, id, &ids](CachedQuery& record) {
+    if (!record.answer.contains(id)) return;
+    record.answer.Materialize(&ids);
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+    record.answer = IdSet::FromSortedUnique(ids, universe_);
+  };
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    // Flushed entries go dark (lazy): compaction rides the next gated
-    // maintenance pass. Window entries are patched eagerly — they have no
-    // postings to desynchronize from.
-    for (CachedQuery& record : *shard->entries) {
-      if (record.answer.contains(id)) record.tombstoned = true;
-    }
-    for (CachedQuery& record : shard->window) {
-      if (!record.answer.contains(id)) continue;
-      record.answer.Materialize(&member_ids);
-      live_ids.clear();
-      live_ids.reserve(member_ids.size());
-      for (GraphId member : member_ids) {
-        if (member != id) live_ids.push_back(member);
-      }
-      record.answer = IdSet::FromSortedUnique(live_ids, universe_);
-    }
+    for (CachedQuery& record : *shard->entries) drop(record);
+    for (CachedQuery& record : shard->window) drop(record);
   }
-}
-
-void ShardedQueryCache::SeedDeadIds(std::span<const GraphId> dead,
-                                    size_t universe) {
-  dead_ids_.assign(dead.begin(), dead.end());
-  universe_ = universe;
-  dead_set_.AssignSortedUnique(dead_ids_, universe_);
-}
-
-size_t ShardedQueryCache::tombstoned_entries() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    for (const CachedQuery& record : *shard->entries) {
-      total += record.tombstoned ? 1 : 0;
-    }
-  }
-  return total;
 }
 
 void ShardedQueryCache::FlushAll() {
@@ -570,18 +597,15 @@ size_t ShardedQueryCache::MemoryBytes() const {
   return bytes;
 }
 
-std::vector<Graph> ShardedQueryCache::CachedGraphs() const {
-  std::vector<Graph> graphs;
+std::vector<CachedQuery> ShardedQueryCache::Entries() const {
+  std::vector<CachedQuery> copies;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    for (const CachedQuery& record : *shard->entries) {
-      graphs.push_back(record.graph);
-    }
-    for (const CachedQuery& record : shard->window) {
-      graphs.push_back(record.graph);
-    }
+    std::lock_guard<std::mutex> credits(shard->credit_mutex);
+    copies.insert(copies.end(), shard->entries->begin(), shard->entries->end());
+    copies.insert(copies.end(), shard->window.begin(), shard->window.end());
   }
-  return graphs;
+  return copies;
 }
 
 void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
@@ -593,7 +617,7 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
 
-  writer.WriteU32(kShardedCacheStateVersion);
+  writer.WriteU32(kCacheStateVersion);
   writer.WriteU32(static_cast<uint32_t>(options_.path_max_edges));
   writer.WriteU64(options_.cache_capacity);
   writer.WriteU64(options_.window_size);
@@ -603,27 +627,11 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
   writer.WriteU32(dataset_crc);
   writer.WriteU64(queries_processed_.load());
   writer.WriteU64(next_id_.load());
-  std::vector<GraphId> member_ids, live_ids;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> credits(shard->credit_mutex);
     writer.WriteU64(shard->entries->size());
     for (const CachedQuery& record : *shard->entries) {
-      if (!record.tombstoned) {
-        SaveCachedQuery(writer, record);
-        continue;
-      }
-      // Dark entries are written compacted (answer \ dead set): the flag
-      // never reaches disk and the record format stays at version 1 —
-      // a load sees exactly what the next maintenance pass would produce.
-      CachedQuery compacted;
-      compacted.id = record.id;
-      compacted.graph = record.graph;
-      compacted.canonical = record.canonical;
-      compacted.meta = record.meta;
-      record.answer.Materialize(&member_ids);
-      DifferenceSorted(member_ids, dead_ids_, &live_ids);
-      compacted.answer = IdSet::FromSortedUnique(live_ids, universe_);
-      SaveCachedQuery(writer, compacted);
+      SaveCachedQuery(writer, record);
     }
     writer.WriteU64(shard->window.size());
     for (const CachedQuery& record : shard->window) {
@@ -633,16 +641,17 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
 }
 
 bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
-                             uint64_t num_graphs, uint32_t dataset_crc) {
+                             uint64_t num_graphs, uint32_t dataset_crc,
+                             bool with_shard_count) {
   uint32_t version = 0, path_max_edges = 0;
   if (!reader.ReadU32(&version) ||
-      (version != kShardedCacheStateVersion &&
-       version != kShardedCacheStateVersionNoCanonical)) {
+      (version != kCacheStateVersion &&
+       version != kCacheStateVersionNoCanonical)) {
     return false;
   }
   // Version-1 payloads predate the canonical key; recompute it per record
   // so pre-change snapshots stay loadable with the fast path intact.
-  const bool with_canonical = version == kShardedCacheStateVersion;
+  const bool with_canonical = version == kCacheStateVersion;
   if (!reader.ReadU32(&path_max_edges) ||
       path_max_edges != options_.path_max_edges) {
     return false;
@@ -650,11 +659,13 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
   // Geometry must match in full: capacity/window drive flush cadence and
   // eviction counts, the policy picks victims, and the shard count decides
   // both graph placement and the per-shard slices.
+  // The one-shard layout has no shard count field.
   uint64_t cache_capacity = 0, window_size = 0;
   uint8_t policy = 0;
-  uint32_t shard_count = 0;
+  uint32_t shard_count = 1;
   if (!reader.ReadU64(&cache_capacity) || !reader.ReadU64(&window_size) ||
-      !reader.ReadU8(&policy) || !reader.ReadU32(&shard_count)) {
+      !reader.ReadU8(&policy) ||
+      (with_shard_count && !reader.ReadU32(&shard_count))) {
     return false;
   }
   if (cache_capacity != options_.cache_capacity ||

@@ -1,8 +1,9 @@
-// ShardedQueryCache — the concurrent variant of QueryCache (§4.2, §5)
-// behind ConcurrentQueryEngine: the same Igraphs + Isub + Isuper +
-// Stat(iGQ Graph) + Itemp state, partitioned by structural graph hash into
+// ShardedQueryCache — the iGQ query cache (§4.2, §5) behind both engines:
+// Igraphs (cached query graphs + answers), Isub + Isuper, the §5.1
+// metadata, and the Itemp window, partitioned by structural graph hash into
 // N independently-locked shards so probes from many client streams proceed
-// in parallel.
+// in parallel. QueryEngine runs it with one shard; ConcurrentQueryEngine
+// with IgqOptions::cache_shards.
 //
 // Concurrency design (docs/CONCURRENCY.md has the full model):
 //
@@ -22,8 +23,7 @@
 // Equivalence: any cache content yields exact answers (pruning only uses
 // verified containment facts), so ConcurrentQueryEngine answers match the
 // sequential QueryEngine query for query. Eviction victims are chosen by
-// the same EvictionScore as QueryCache::Flush, over a §5.1 metadata
-// snapshot taken when the flush begins.
+// the §5.1 score over a metadata snapshot taken when the flush begins.
 #ifndef IGQ_IGQ_SHARDED_CACHE_H_
 #define IGQ_IGQ_SHARDED_CACHE_H_
 
@@ -70,11 +70,20 @@ class ShardedQueryCache {
     size_t position = 0;
   };
 
+  /// The R/C part of a §5.1 credit: candidates removed and the analytic
+  /// cost of the isomorphism tests they would have needed.
+  struct Credit {
+    uint64_t removed = 0;
+    LogValue cost = LogValue::Zero();
+  };
+
   /// Result of probing all shards, holding a shared lock on each until
-  /// destroyed. The engine keeps the session alive through candidate
-  /// pruning (entries are read in place, nothing is copied) and releases it
-  /// before verification, the long stage. Shared locks never block other
-  /// sessions — only a flush's final swap waits for them.
+  /// destroyed. Engines keep the session alive through candidate pruning
+  /// (entries are read in place, nothing is copied) and until their §5.1
+  /// credits commit; an unlimited concurrent query commits before
+  /// verification, the long stage, and releases the session then. Shared
+  /// locks never block other sessions — only a flush's final swap and
+  /// Insert wait for them.
   class ProbeSession {
    public:
     ProbeSession(ProbeSession&&) = default;
@@ -99,10 +108,9 @@ class ShardedQueryCache {
     void CreditHit(const Hit& hit) const;
     void CreditPrune(const Hit& hit, uint64_t removed, LogValue cost) const;
     /// The one crediting site for an exact hit found through the probe
-    /// (H += 1, R += removed, C += cost in a single credit-mutex section),
-    /// mirroring QueryCache::CreditExactHit — engines must not combine
-    /// CreditHit + CreditPrune for exact hits, so the fast path and this
-    /// fallback cannot double-count.
+    /// (H += 1, R += removed, C += cost in a single credit-mutex section) —
+    /// engines must not combine CreditHit + CreditPrune for exact hits, so
+    /// the fast path and this fallback cannot double-count.
     void CreditExactHit(const Hit& hit, uint64_t removed, LogValue cost) const;
 
    private:
@@ -118,8 +126,9 @@ class ShardedQueryCache {
     size_t probe_iso_tests_ = 0;
   };
 
-  /// `universe` is the dataset size the cached answers index (see
-  /// QueryCache); it drives the answers' adaptive IdSet representation.
+  /// `universe` is the dataset size the cached answers index; it drives the
+  /// answers' adaptive IdSet representation (array vs bitmap). 0 — unknown
+  /// universe — is valid and keeps every answer in array form.
   explicit ShardedQueryCache(const IgqOptions& options, size_t universe = 0);
   ~ShardedQueryCache();
 
@@ -137,26 +146,24 @@ class ShardedQueryCache {
   ProbeSession Probe(const Graph& query,
                      const PathFeatureCounts& query_features);
 
-  /// Exact-hit fast path: if `canonical` resolves to a live (not tombstoned)
-  /// cached entry — flushed or still in a window, in any shard — copies its
-  /// answer into `*answer`, ticks the query clock (RecordQueryProcessed:
-  /// the hit completes the query), credits the entry's §5.1 metadata in one
-  /// step (H += 1, R += answer size, C += cost_of(answer)), and returns
-  /// true. A miss changes nothing.
+  /// Exact-hit fast path: if `canonical` resolves to a cached entry —
+  /// flushed or still in a window, in any shard — copies its answer into
+  /// `*answer`, ticks the query clock (RecordQueryProcessed: the hit
+  /// completes the query), credits the entry's §5.1 metadata in one step
+  /// (H += 1, then R and C from `credit_of(answer)`), and returns true. A
+  /// miss changes nothing.
   /// One global hash lookup plus one shared shard lock; no feature
-  /// extraction, no probe, no isomorphism test. `cost_of` is invoked at most
-  /// once, with the answer ids, while the entry is pinned — lazily, so a
-  /// miss pays nothing for the cost model.
+  /// extraction, no probe, no isomorphism test. `credit_of` is invoked at
+  /// most once, with the answer ids, while the entry is pinned — lazily, so
+  /// a miss pays nothing for the cost model.
   ///
-  /// Unlike the sequential fast path this also sees window entries: the
-  /// canonical map is what makes singleflight coalescing exact (a key
-  /// registered by Insert must be hittable before the shard's next flush),
-  /// and the extra hits only help. May spuriously miss when the ref went
-  /// stale between the map read and the shard lock (a flush moved the
-  /// entry); the caller then just runs the normal pipeline.
+  /// Window entries are hittable because Insert registers the key at once:
+  /// that is what makes singleflight coalescing exact. May spuriously miss
+  /// when the ref went stale between the map read and the shard lock (a
+  /// flush moved the entry); the caller then just runs the normal pipeline.
   bool TryExactHit(
       const std::string& canonical,
-      const std::function<LogValue(std::span<const GraphId>)>& cost_of,
+      const std::function<Credit(std::span<const GraphId>)>& credit_of,
       std::vector<GraphId>* answer);
 
   /// Advances the global query counter (the denominator clock for M(g)).
@@ -173,44 +180,34 @@ class ShardedQueryCache {
   void Insert(const Graph& query, std::vector<GraphId> answer,
               std::string canonical);
 
-  /// Forces window integration on every shard (snapshot symmetry with
-  /// QueryCache::Flush; normal operation never needs it). Blocks until any
-  /// in-flight flush of each shard completes.
+  /// Forces window integration on every shard (normal operation never
+  /// needs it). Blocks until any in-flight flush of each shard completes.
   void FlushAll();
 
-  /// Dataset-mutation patching (same answer semantics as QueryCache, but
-  /// removal is LAZY): instead of flushing when the dataset changes, cached
-  /// answers are patched/marked so hit rate and §5.1 metadata survive.
+  /// Dataset-mutation patching: instead of flushing the cache when the
+  /// dataset changes, every cached and windowed answer is patched in place,
+  /// so hit rate and §5.1 metadata survive the mutation.
   ///
   /// Both calls require external write exclusion against the whole cache —
-  /// ConcurrentQueryEngine::ApplyMutation's exclusive mutation lock provides
-  /// it (no probe/insert runs concurrently); per-shard exclusive locks are
-  /// still taken so any straggler reading shard state stays correct.
+  /// the engines' ApplyMutation provides it (no probe/insert runs
+  /// concurrently); per-shard exclusive locks are still taken so any
+  /// straggler reading shard state stays correct.
   ///
   /// ApplyGraphAdded: `graph` joined the dataset under `id` (== old dataset
-  /// size). Every cached entry — including dark ones, which must stay
-  /// add-current so compaction alone makes them fresh — and every window
-  /// entry is containment-tested directly against the new graph and its
-  /// answer re-derived over the grown universe (`id` appended on a match).
-  /// Direct tests, not the probe indexes: entries revived or marked since
-  /// the last shadow rebuild are invisible to the indexes.
+  /// size). In the subgraph direction answer(q) = {G : q ⊆ G}, so `id`
+  /// joins every answer whose query is a subgraph of `graph` (Isuper
+  /// probe); in the supergraph direction answer(q) = {G : G ⊆ q}, so `id`
+  /// joins where `graph` ⊆ q (Isub probe). Window entries are not in the
+  /// probe indexes and are tested directly. Every answer is re-derived over
+  /// the grown universe, so the adaptive representation stays canonical.
   void ApplyGraphAdded(const Graph& graph, GraphId id,
                        QueryDirection direction);
 
-  /// ApplyGraphRemoved: dataset graph `id` was tombstoned. Flushed entries
-  /// whose answer contains it go dark (tombstoned = true: skipped by probes
-  /// and by the next shadow rebuilds) until MaintainShard's gated staging
-  /// compacts them (answer \ dead set, flag cleared). Window entries are
-  /// patched eagerly — they are invisible to the probe indexes anyway.
+  /// ApplyGraphRemoved: dataset graph `id` was tombstoned; it is dropped
+  /// from every flushed and windowed answer that contains it. The probe
+  /// indexes are untouched (they index the cached QUERY graphs, which did
+  /// not change).
   void ApplyGraphRemoved(GraphId id);
-
-  /// Resets the dead-id set (sorted unique) and universe, e.g. after a
-  /// snapshot Load: snapshots carry compacted answers, so the set restarts
-  /// from the database's tombstones. Requires external quiescence, as Load.
-  void SeedDeadIds(std::span<const GraphId> dead, size_t universe);
-
-  /// Entries currently dark (marked, not yet compacted), across all shards.
-  size_t tombstoned_entries() const;
 
   size_t num_shards() const { return shards_.size(); }
   /// Per-shard slice of cache_capacity / window_size (ceiling share).
@@ -225,26 +222,36 @@ class ShardedQueryCache {
   int64_t maintenance_micros() const { return maintenance_micros_.load(); }
   size_t MemoryBytes() const;
 
-  /// Copies of every cached graph — flushed entries first, then pending
-  /// window entries, shard by shard. For equivalence tests and inspection.
-  std::vector<Graph> CachedGraphs() const;
+  /// Copies of every entry — each shard's flushed entries, then its
+  /// pending window entries, shard by shard (with one shard: positions
+  /// [0, size()) are flushed, the rest are Itemp). For tests and inspection.
+  std::vector<CachedQuery> Entries() const;
 
-  /// Serializes the complete behavioral state (all shards' entries and
-  /// windows, §5.1 metadata, global counters) plus the geometry and the
-  /// dataset fingerprint, in the record format shared with QueryCache.
-  /// Takes shared locks + credit mutexes, so it is safe against concurrent
-  /// probes and credits; concurrent Insert/flush make the snapshot a valid
-  /// but arbitrary cut — quiesce first for a meaningful one.
+  /// Serializes the complete behavioral state: every shard's entries
+  /// (graph, canonical key, answer, §5.1 metadata) and window (Itemp), the
+  /// query/id counters, the geometry, and `num_graphs` and `dataset_crc`
+  /// (size and content fingerprint of the dataset the answers refer to, see
+  /// snapshot::DatasetFingerprint). Isub/Isuper are NOT serialized — they
+  /// are derived data, shadow-rebuilt on load per §5.2. Takes shared locks
+  /// + credit mutexes, so it is safe against concurrent probes and credits;
+  /// concurrent Insert/flush make the snapshot a valid but arbitrary cut —
+  /// quiesce first for a meaningful one.
   void Save(snapshot::BinaryWriter& writer, uint64_t num_graphs,
             uint32_t dataset_crc) const;
 
   /// Restores state saved by Save() and shadow-rebuilds every shard's
-  /// Isub/Isuper. Returns false — leaving this cache unchanged — on
-  /// malformed input, a dataset mismatch, or a snapshot taken under
-  /// different geometry (path_max_edges, capacity, window, shard count, or
-  /// policy). NOT thread-safe: no other call may run concurrently.
+  /// Isub/Isuper; a cache restored this way replays a query stream with the
+  /// same hits, prunes, and replacement victims as the one that produced
+  /// the snapshot. `with_shard_count` false reads the older one-shard
+  /// layout (no shard count; docs/FORMATS.md, section 1), which only a
+  /// one-shard cache accepts. Returns false — leaving this cache unchanged
+  /// — on malformed input, a dataset size or content-fingerprint mismatch
+  /// (answer ids are also bounds-checked against `num_graphs`), or a
+  /// snapshot taken under different geometry (path_max_edges, capacity,
+  /// window, shard count, or policy). NOT thread-safe: no other call may
+  /// run concurrently.
   bool Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
-            uint32_t dataset_crc);
+            uint32_t dataset_crc, bool with_shard_count = true);
 
  private:
   /// One shard: a slice of Igraphs with its own locks and indexes. The
@@ -275,7 +282,7 @@ class ShardedQueryCache {
   };
 
   /// Where a canonical key's entry lives. Refs are validated on use (bounds
-  /// + id match + not tombstoned) because a reader copies the ref, drops the
+  /// + id match) because a reader copies the ref, drops the
   /// map lock, and only then locks the shard — a flush may have moved the
   /// entry in between (the lookup then misses spuriously, which is safe).
   struct CanonicalRef {
@@ -300,12 +307,6 @@ class ShardedQueryCache {
 
   IgqOptions options_;
   size_t universe_ = 0;  // dataset size the answers index
-  /// Removed dataset ids (sorted ascending, unique) and their IdSet form —
-  /// what MaintainShard's compaction and Save's answer rewriting subtract.
-  /// Written only under the engine's exclusive mutation lock; read by the
-  /// gated maintenance path and Save.
-  std::vector<GraphId> dead_ids_;
-  IdSet dead_set_;
   PathEnumeratorOptions enumerator_options_;
   size_t shard_capacity_ = 1;
   size_t shard_window_ = 1;

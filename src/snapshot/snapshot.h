@@ -1,8 +1,8 @@
 // The iGQ snapshot container format (docs/FORMATS.md): a fixed header
 // (magic + format version) followed by a sequence of checksummed sections
 // and a terminating end marker. Sections carry opaque payloads — the cache
-// state produced by QueryCache::Save() and the method index produced by
-// Method::SaveIndex() — so the container can evolve (new section ids)
+// state produced by ShardedQueryCache::Save() and the method index produced
+// by Method::SaveIndex() — so the container can evolve (new section ids)
 // without breaking old readers, and a reader can skip sections it does not
 // understand.
 //
@@ -27,9 +27,9 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 /// Known section ids. kSectionEnd terminates the file and has no payload.
 enum SectionId : uint32_t {
   kSectionEnd = 0,
-  kSectionCache = 1,          // QueryCache::Save() payload
+  kSectionOneShardCache = 1,  // read-only: older sequential engines' cache
   kSectionMethodIndex = 2,    // method name + Method::SaveIndex() payload
-  kSectionShardedCache = 3,   // ShardedQueryCache::Save() payload
+  kSectionCache = 3,          // ShardedQueryCache::Save() payload
   kSectionMutationState = 4,  // mutation epoch + dataset tombstones
 };
 

@@ -1,11 +1,11 @@
-// Tests for the query cache: window mechanics, utility-based replacement
-// (§5.1), probe semantics, exact-match detection, maintenance accounting.
-#include "igq/cache.h"
-
+// Tests for the query cache run as one shard, the way QueryEngine runs it:
+// window mechanics, utility-based replacement (§5.1), probe semantics,
+// exact-match detection, maintenance accounting.
 #include <gtest/gtest.h>
 
 #include "features/canonical.h"
 #include "igq/engine.h"
+#include "igq/sharded_cache.h"
 #include "methods/registry.h"
 #include "tests/test_util.h"
 
@@ -21,11 +21,21 @@ IgqOptions SmallOptions(size_t capacity, size_t window) {
   IgqOptions options;
   options.cache_capacity = capacity;
   options.window_size = window;
+  options.cache_shards = 1;
   return options;
 }
 
+// An exact-hit lookup that credits nothing.
+bool ExactHit(ShardedQueryCache& cache, const Graph& query,
+              std::vector<GraphId>* answer) {
+  return cache.TryExactHit(
+      GraphCanonicalCode(query),
+      [](std::span<const GraphId>) { return ShardedQueryCache::Credit{}; },
+      answer);
+}
+
 TEST(QueryCacheTest, WindowHoldsUntilFull) {
-  QueryCache cache(SmallOptions(10, 3));
+  ShardedQueryCache cache(SmallOptions(10, 3));
   cache.Insert(PathGraph({0, 1}), {});
   cache.Insert(PathGraph({1, 2}), {});
   EXPECT_EQ(cache.size(), 0u);  // still in Itemp
@@ -36,49 +46,50 @@ TEST(QueryCacheTest, WindowHoldsUntilFull) {
 }
 
 TEST(QueryCacheTest, ProbeSeesOnlyFlushedEntries) {
-  QueryCache cache(SmallOptions(10, 2));
+  ShardedQueryCache cache(SmallOptions(10, 2));
   const Graph big = PathGraph({0, 1, 2, 3});
   cache.Insert(big, {5, 7});
   const Graph small = PathGraph({1, 2});
-  CacheProbe probe = cache.Probe(small, cache.ExtractFeatures(small));
-  EXPECT_TRUE(probe.supergraph_positions.empty());  // big still in window
-  cache.Insert(PathGraph({8, 9}), {});              // triggers flush
-  probe = cache.Probe(small, cache.ExtractFeatures(small));
-  ASSERT_EQ(probe.supergraph_positions.size(), 1u);
-  EXPECT_EQ(cache.entries()[probe.supergraph_positions[0]].graph, big);
+  {
+    auto probe = cache.Probe(small, cache.ExtractFeatures(small));
+    EXPECT_TRUE(probe.supergraph_hits().empty());  // big still in window
+  }
+  cache.Insert(PathGraph({8, 9}), {});  // triggers flush
+  auto probe = cache.Probe(small, cache.ExtractFeatures(small));
+  ASSERT_EQ(probe.supergraph_hits().size(), 1u);
+  EXPECT_EQ(probe.entry(probe.supergraph_hits()[0]).graph, big);
 }
 
 TEST(QueryCacheTest, ProbeFindsSubgraphsToo) {
-  QueryCache cache(SmallOptions(10, 1));
+  ShardedQueryCache cache(SmallOptions(10, 1));
   const Graph small = PathGraph({1, 2});
   cache.Insert(small, {3});
   const Graph big = PathGraph({0, 1, 2, 3});
-  const CacheProbe probe = cache.Probe(big, cache.ExtractFeatures(big));
-  ASSERT_EQ(probe.subgraph_positions.size(), 1u);
-  EXPECT_TRUE(probe.supergraph_positions.empty());
+  auto probe = cache.Probe(big, cache.ExtractFeatures(big));
+  ASSERT_EQ(probe.subgraph_hits().size(), 1u);
+  EXPECT_TRUE(probe.supergraph_hits().empty());
 }
 
 TEST(QueryCacheTest, ExactMatchDetected) {
-  QueryCache cache(SmallOptions(10, 1));
+  ShardedQueryCache cache(SmallOptions(10, 1));
   const Graph q = PathGraph({1, 2, 3});
   cache.Insert(q, {1});
-  const CacheProbe probe = cache.Probe(q, cache.ExtractFeatures(q));
-  EXPECT_NE(probe.exact_position, SIZE_MAX);
+  auto probe = cache.Probe(q, cache.ExtractFeatures(q));
+  EXPECT_TRUE(probe.has_exact());
 }
 
 TEST(QueryCacheTest, IsomorphicButDifferentOrderIsStillExact) {
-  QueryCache cache(SmallOptions(10, 1));
+  ShardedQueryCache cache(SmallOptions(10, 1));
   cache.Insert(PathGraph({1, 2, 3}), {1});
   // Same path written from the other end: isomorphic, equal sizes, and a
   // containment holds — the §4.3 definition of "exactly the same".
   const Graph reversed = PathGraph({3, 2, 1});
-  const CacheProbe probe =
-      cache.Probe(reversed, cache.ExtractFeatures(reversed));
-  EXPECT_NE(probe.exact_position, SIZE_MAX);
+  auto probe = cache.Probe(reversed, cache.ExtractFeatures(reversed));
+  EXPECT_TRUE(probe.has_exact());
 }
 
 TEST(QueryCacheTest, WindowDeduplicatesEqualGraphs) {
-  QueryCache cache(SmallOptions(10, 3));
+  ShardedQueryCache cache(SmallOptions(10, 3));
   const Graph q = PathGraph({1, 2});
   cache.Insert(q, {1});
   cache.Insert(q, {1});
@@ -86,7 +97,7 @@ TEST(QueryCacheTest, WindowDeduplicatesEqualGraphs) {
 }
 
 TEST(QueryCacheTest, CapacityEnforcedAfterFlush) {
-  QueryCache cache(SmallOptions(4, 2));
+  ShardedQueryCache cache(SmallOptions(4, 2));
   for (int i = 0; i < 10; ++i) {
     Graph g = PathGraph({static_cast<Label>(i), static_cast<Label>(i + 1)});
     cache.Insert(g, {});
@@ -95,7 +106,7 @@ TEST(QueryCacheTest, CapacityEnforcedAfterFlush) {
 }
 
 TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
-  QueryCache cache(SmallOptions(2, 1));
+  ShardedQueryCache cache(SmallOptions(2, 1));
   const Graph a = PathGraph({1, 1});
   const Graph b = PathGraph({2, 2});
   cache.Insert(a, {});  // flushes immediately (W = 1)
@@ -103,21 +114,20 @@ TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
   ASSERT_EQ(cache.size(), 2u);
 
   // Give `b` utility; `a` stays at zero.
-  size_t b_position = SIZE_MAX;
-  for (size_t i = 0; i < cache.entries().size(); ++i) {
-    if (cache.entries()[i].graph == b) b_position = i;
-  }
-  ASSERT_NE(b_position, SIZE_MAX);
   cache.RecordQueryProcessed();
-  cache.CreditHit(b_position);
-  cache.CreditPrune(b_position, 5, LogValue::FromLinear(1e6));
+  {
+    auto probe = cache.Probe(b, cache.ExtractFeatures(b));
+    ASSERT_TRUE(probe.has_exact());
+    probe.CreditHit(probe.exact());
+    probe.CreditPrune(probe.exact(), 5, LogValue::FromLinear(1e6));
+  }
 
   // Insert c: capacity 2 forces one eviction; it must be `a`.
   const Graph c = PathGraph({3, 3});
   cache.Insert(c, {});
   ASSERT_EQ(cache.size(), 2u);
   bool has_a = false, has_b = false, has_c = false;
-  for (const CachedQuery& entry : cache.entries()) {
+  for (const CachedQuery& entry : cache.Entries()) {
     has_a |= entry.graph == a;
     has_b |= entry.graph == b;
     has_c |= entry.graph == c;
@@ -128,23 +138,23 @@ TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
 }
 
 TEST(QueryCacheTest, TieBreakEvictsOlderEntry) {
-  QueryCache cache(SmallOptions(2, 1));
+  ShardedQueryCache cache(SmallOptions(2, 1));
   const Graph a = PathGraph({1, 1});
   const Graph b = PathGraph({2, 2});
   cache.Insert(a, {});
   cache.Insert(b, {});
   cache.Insert(PathGraph({3, 3}), {});  // both a and b have utility 0
   bool has_a = false;
-  for (const CachedQuery& entry : cache.entries()) has_a |= entry.graph == a;
+  for (const CachedQuery& entry : cache.Entries()) has_a |= entry.graph == a;
   EXPECT_FALSE(has_a) << "older zero-utility entry should go first";
 }
 
 TEST(QueryCacheTest, MetadataClockAdvances) {
-  QueryCache cache(SmallOptions(4, 1));
+  ShardedQueryCache cache(SmallOptions(4, 1));
   cache.Insert(PathGraph({1, 2}), {});
   cache.RecordQueryProcessed();
   cache.RecordQueryProcessed();
-  const QueryGraphMetadata& meta = cache.entries()[0].meta;
+  const QueryGraphMetadata meta = cache.Entries()[0].meta;
   EXPECT_EQ(meta.QueriesSinceInsertion(cache.queries_processed()), 2u);
 }
 
@@ -158,13 +168,13 @@ TEST(QueryCacheTest, UtilityUsesCostOverM) {
 }
 
 TEST(QueryCacheTest, MaintenanceTimeTracked) {
-  QueryCache cache(SmallOptions(4, 1));
+  ShardedQueryCache cache(SmallOptions(4, 1));
   cache.Insert(PathGraph({1, 2}), {});
   EXPECT_GE(cache.maintenance_micros(), 0);
 }
 
 TEST(QueryCacheTest, MemoryBytesGrowWithEntries) {
-  QueryCache cache(SmallOptions(100, 1));
+  ShardedQueryCache cache(SmallOptions(100, 1));
   const size_t before = cache.MemoryBytes();
   Rng rng(9);
   for (int i = 0; i < 10; ++i) {
@@ -174,20 +184,20 @@ TEST(QueryCacheTest, MemoryBytesGrowWithEntries) {
 }
 
 TEST(QueryCacheTest, AnswersStoredSorted) {
-  QueryCache cache(SmallOptions(4, 1));
+  ShardedQueryCache cache(SmallOptions(4, 1));
   cache.Insert(PathGraph({1, 2}), {9, 3, 7});
   const std::vector<GraphId> expected{3, 7, 9};
-  EXPECT_EQ(cache.entries()[0].answer.ToVector(), expected);
+  EXPECT_EQ(cache.Entries()[0].answer.ToVector(), expected);
 }
 
 // ---- Canonical-key exact-hit fast path. ----
 
 TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
-  // Parity with the pre-key isomorphism path: for any query, the canonical
-  // map and the probe's §4.3 exact scan must agree — same hit/miss, same
-  // position. Permuted copies of cached graphs exercise the hit side,
-  // fresh random graphs the (mostly) miss side.
-  QueryCache cache(SmallOptions(64, 4));
+  // Parity with the isomorphism path: for any query, the canonical map and
+  // the probe's §4.3 exact scan must agree — same hit/miss, same entry (each
+  // cached graph has its own answer). Permuted copies of cached graphs
+  // exercise the hit side, fresh random graphs the (mostly) miss side.
+  ShardedQueryCache cache(SmallOptions(64, 4));
   Rng rng(21);
   std::vector<Graph> cached;
   for (int i = 0; i < 24; ++i) {
@@ -195,7 +205,7 @@ TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
                                           3 + rng.Below(4), 3));
     cache.Insert(cached.back(), {static_cast<GraphId>(i)});
   }
-  cache.Flush();
+  cache.FlushAll();
   size_t hits = 0;
   for (int i = 0; i < 200; ++i) {
     const Graph query =
@@ -203,37 +213,51 @@ TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
             ? PermuteVertices(rng, cached[rng.Below(cached.size())])
             : RandomConnectedGraph(rng, 5 + rng.Below(6), 3 + rng.Below(4),
                                    3);
-    const size_t by_key = cache.FindExactByKey(GraphCanonicalCode(query));
-    const CacheProbe probe = cache.Probe(query, cache.ExtractFeatures(query));
-    EXPECT_EQ(by_key, probe.exact_position);
-    if (by_key != SIZE_MAX) ++hits;
+    std::vector<GraphId> by_key;
+    const bool key_hit = ExactHit(cache, query, &by_key);
+    auto probe = cache.Probe(query, cache.ExtractFeatures(query));
+    ASSERT_EQ(key_hit, probe.has_exact());
+    if (key_hit) {
+      EXPECT_EQ(by_key, probe.entry(probe.exact()).answer.ToVector());
+      ++hits;
+    }
   }
   EXPECT_GT(hits, 50u);  // the parity above must have covered real hits
 }
 
-TEST(QueryCacheTest, FindExactByKeySeesFlushedEntriesOnly) {
-  QueryCache cache(SmallOptions(10, 2));
+TEST(QueryCacheTest, ExactHitSeesWindowEntries) {
+  // The key is registered at Insert, so a window (Itemp) entry is hittable
+  // before its flush, although the probe indexes do not see it yet.
+  ShardedQueryCache cache(SmallOptions(10, 2));
   const Graph q = PathGraph({1, 2, 3});
-  const std::string key = GraphCanonicalCode(q);
   cache.Insert(q, {1});
-  EXPECT_EQ(cache.FindExactByKey(key), SIZE_MAX);  // still in Itemp
-  cache.Insert(PathGraph({7, 8}), {});             // triggers flush
-  EXPECT_NE(cache.FindExactByKey(key), SIZE_MAX);
+  ASSERT_EQ(cache.window_fill(), 1u);  // still in Itemp
+  std::vector<GraphId> answer;
+  EXPECT_TRUE(ExactHit(cache, PathGraph({3, 2, 1}), &answer));
+  EXPECT_EQ(answer, std::vector<GraphId>{1});
+  cache.Insert(PathGraph({7, 8}), {});  // triggers flush
+  EXPECT_TRUE(ExactHit(cache, q, &answer));
 }
 
 TEST(QueryCacheTest, CreditExactHitCountsOnce) {
-  // The one §5.1 crediting site: a single exact hit moves H, R, C, and the
-  // LRU clock exactly once — the engine no longer splits the update across
-  // CreditHit + CreditPrune call sites that could drift apart.
-  QueryCache cache(SmallOptions(4, 1));
+  // The one §5.1 crediting site: a single exact hit ticks the query clock
+  // and moves H, R, C, and the LRU clock exactly once — R and C come from
+  // the caller's credit, not from the cached answer.
+  ShardedQueryCache cache(SmallOptions(4, 1));
   const Graph q = PathGraph({1, 2, 3});
   cache.Insert(q, {1, 4});
   ASSERT_EQ(cache.size(), 1u);
-  cache.RecordQueryProcessed();
-  const size_t position = cache.FindExactByKey(GraphCanonicalCode(q));
-  ASSERT_EQ(position, 0u);
-  cache.CreditExactHit(position, 7, LogValue::FromLinear(100.0));
-  const QueryGraphMetadata& meta = cache.entries()[0].meta;
+  std::vector<GraphId> answer;
+  ASSERT_TRUE(cache.TryExactHit(
+      GraphCanonicalCode(q),
+      [](std::span<const GraphId> ids) {
+        EXPECT_EQ(ids.size(), 2u);
+        return ShardedQueryCache::Credit{7, LogValue::FromLinear(100.0)};
+      },
+      &answer));
+  EXPECT_EQ(answer, (std::vector<GraphId>{1, 4}));
+  EXPECT_EQ(cache.queries_processed(), 1u);
+  const QueryGraphMetadata meta = cache.Entries()[0].meta;
   EXPECT_EQ(meta.hits, 1u);
   EXPECT_EQ(meta.removed_candidates, 7u);
   EXPECT_EQ(meta.last_hit_at, 1u);
@@ -251,7 +275,7 @@ TEST(QueryCacheTest, EngineExactHitRunsZeroIsomorphismTests) {
   method->Build(db);
   IgqOptions options;
   options.cache_capacity = 16;
-  options.window_size = 1;  // every insert flushes: the repeat can hit
+  options.window_size = 4;  // the repeat hits the entry while in Itemp
   QueryEngine engine(db, method.get(), options);
 
   const Graph query = RandomSubgraphOf(rng, db.graphs[0], 6);
@@ -268,12 +292,15 @@ TEST(QueryCacheTest, EngineExactHitRunsZeroIsomorphismTests) {
   EXPECT_EQ(hit_stats.iso_tests, 0u);
   EXPECT_EQ(hit_stats.probe_iso_tests, 0u);
 
-  // Single counting, end to end: two exact hits leave H at exactly 2.
+  // Single counting, end to end: two exact hits leave H at exactly 2, and
+  // each is credited with the filtered candidates it saved, not its answer.
   EXPECT_EQ(engine.Process(query), answer);
-  const size_t position =
-      engine.cache().FindExactByKey(GraphCanonicalCode(query));
-  ASSERT_NE(position, SIZE_MAX);
-  EXPECT_EQ(engine.cache().entries()[position].meta.hits, 2u);
+  const std::vector<CachedQuery> entries = engine.cache().Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].canonical, GraphCanonicalCode(query));
+  EXPECT_EQ(entries[0].meta.hits, 2u);
+  EXPECT_EQ(entries[0].meta.removed_candidates,
+            2 * miss_stats.candidates_initial);
 }
 
 }  // namespace

@@ -59,6 +59,15 @@ std::vector<Graph> MakeWorkload(const GraphDatabase& db, uint64_t seed,
   return queries;
 }
 
+/// The graphs of every cache entry, flushed and window alike.
+std::vector<Graph> CachedGraphs(const ShardedQueryCache& cache) {
+  std::vector<Graph> graphs;
+  for (const CachedQuery& entry : cache.Entries()) {
+    graphs.push_back(entry.graph);
+  }
+  return graphs;
+}
+
 /// True iff the two collections hold structurally equal graphs, ignoring
 /// order (Graph has no ordering, so match-and-erase).
 bool SameGraphMultiset(std::vector<Graph> a, std::vector<Graph> b) {
@@ -157,19 +166,15 @@ TEST(ConcurrentEngineTest, AnswersAndCacheContentsMatchSequentialReplay) {
   }
 
   // Below capacity no entry is ever evicted, so both engines must end up
-  // caching exactly the distinct executed queries. (The sequential window
-  // is not directly inspectable, but flushed entries + pending count must
-  // add up to the same distinct set.)
+  // caching exactly the distinct executed queries, flushed or pending.
   std::vector<Graph> distinct;
   for (const Graph& query : queries) {
     if (std::find(distinct.begin(), distinct.end(), query) == distinct.end()) {
       distinct.push_back(query);
     }
   }
-  EXPECT_TRUE(SameGraphMultiset(engine.cache().CachedGraphs(), distinct));
-  EXPECT_EQ(
-      sequential.cache().entries().size() + sequential.cache().window_fill(),
-      distinct.size());
+  EXPECT_TRUE(SameGraphMultiset(CachedGraphs(engine.cache()), distinct));
+  EXPECT_TRUE(SameGraphMultiset(CachedGraphs(sequential.cache()), distinct));
 }
 
 // The twin of LifecycleSequentialTest.BudgetedPipelineParityWithPlainProcess.
@@ -358,8 +363,8 @@ TEST(ConcurrentEngineTest, ShardedSnapshotRoundTrips) {
   EXPECT_TRUE(info.method_index_restored);
   EXPECT_EQ(info.cached_queries, engine.cache().size());
   EXPECT_EQ(restored.cache().window_fill(), engine.cache().window_fill());
-  EXPECT_TRUE(SameGraphMultiset(restored.cache().CachedGraphs(),
-                                engine.cache().CachedGraphs()));
+  EXPECT_TRUE(SameGraphMultiset(CachedGraphs(restored.cache()),
+                                CachedGraphs(engine.cache())));
 
   for (const Graph& query : probe) {
     QueryStats original_stats, restored_stats;
@@ -381,16 +386,31 @@ TEST(ConcurrentEngineTest, ShardedSnapshotRoundTrips) {
   EXPECT_FALSE(fresh.LoadSnapshot(truncated, &error));
   EXPECT_EQ(fresh.cache().size(), 0u);
 
-  // A sequential-engine snapshot has no sharded-cache section: rejected.
+  // Both engines write the same cache section: a sequential snapshot (one
+  // shard) loads into a one-shard concurrent engine with the same cache,
+  // and this test's 4-shard engine rejects it, keeping an empty cache.
   auto seq_method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
   seq_method->Build(db);
   QueryEngine sequential(db, seq_method.get(), options);
   for (const Graph& query : warm) sequential.Process(query);
-  std::stringstream seq_snapshot;
+  std::ostringstream seq_snapshot;
   ASSERT_TRUE(sequential.SaveSnapshot(seq_snapshot, &error)) << error;
-  ConcurrentQueryEngine wrong_kind(db, restored_method.get(), options);
-  EXPECT_FALSE(wrong_kind.LoadSnapshot(seq_snapshot, &error));
-  EXPECT_NE(error.find("no sharded-cache section"), std::string::npos);
+  IgqOptions one_shard = options;
+  one_shard.cache_shards = 1;
+  ConcurrentQueryEngine one_shard_engine(db, restored_method.get(), one_shard);
+  std::istringstream seq_in(seq_snapshot.str());
+  ASSERT_TRUE(one_shard_engine.LoadSnapshot(seq_in, &error)) << error;
+  EXPECT_EQ(one_shard_engine.cache().size(), sequential.cache().size());
+  EXPECT_EQ(one_shard_engine.cache().window_fill(),
+            sequential.cache().window_fill());
+  EXPECT_TRUE(SameGraphMultiset(CachedGraphs(one_shard_engine.cache()),
+                                CachedGraphs(sequential.cache())));
+  ConcurrentQueryEngine four_shards(db, restored_method.get(), options);
+  std::istringstream seq_in2(seq_snapshot.str());
+  EXPECT_FALSE(four_shards.LoadSnapshot(seq_in2, &error));
+  EXPECT_NE(error.find("cache section rejected"), std::string::npos) << error;
+  EXPECT_EQ(four_shards.cache().size(), 0u);
+  EXPECT_EQ(four_shards.cache().window_fill(), 0u);
 }
 
 // ---- Singleflight miss coalescing. ----
@@ -530,9 +550,9 @@ TEST(ConcurrentEngineTest, SingleflightChurnStaysExactUnderMutation) {
   }
 }
 
-// ---- Online mutation: lazy tombstoning, patching, and churn stress. ----
+// ---- Online mutation: answer patching and churn stress. ----
 
-TEST(ShardedCacheTest, RemovalMarksEntriesDarkUntilFlushCompacts) {
+TEST(ShardedCacheTest, RemovalPatchesFlushedAnswersAtOnce) {
   IgqOptions options;
   options.cache_capacity = 16;
   options.window_size = 2;  // two inserts trigger a flush
@@ -542,30 +562,28 @@ TEST(ShardedCacheTest, RemovalMarksEntriesDarkUntilFlushCompacts) {
   Rng rng(19);
   const Graph a = RandomConnectedGraph(rng, 8, 4, 3);
   const Graph b = RandomConnectedGraph(rng, 9, 4, 3);
+  const Graph c = RandomConnectedGraph(rng, 8, 4, 3);
   cache.Insert(a, {0, 2, 5});
   cache.Insert(b, {1, 2});
   ASSERT_EQ(cache.size(), 2u);
+  cache.Insert(c, {2, 3});  // stays in the window
+  ASSERT_EQ(cache.window_fill(), 1u);
 
-  // Removing dataset graph 2 marks both entries dark (lazy removal): they
-  // vanish from probes instead of being rewritten on the mutation path.
+  // Removing dataset graph 2 drops it from every answer that held it, in
+  // place: before any flush, the probe still finds `a` as an exact entry,
+  // now with the patched answer, and the window entry is patched too.
   cache.ApplyGraphRemoved(2);
-  EXPECT_EQ(cache.tombstoned_entries(), 2u);
-  {
-    auto session = cache.Probe(a, cache.ExtractFeatures(a));
-    EXPECT_FALSE(session.has_exact());
-  }
-
-  // The next window flush rides the existing maintenance gate and compacts
-  // the dark answers (answer \ dead set), clearing the flags.
-  cache.Insert(RandomConnectedGraph(rng, 8, 4, 3), {4});
-  cache.Insert(RandomConnectedGraph(rng, 9, 4, 3), {});
-  EXPECT_EQ(cache.tombstoned_entries(), 0u);
+  ASSERT_EQ(cache.window_fill(), 1u);
   {
     auto session = cache.Probe(a, cache.ExtractFeatures(a));
     ASSERT_TRUE(session.has_exact());
     EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
               (std::vector<GraphId>{0, 5}));
   }
+  const std::vector<CachedQuery> entries = cache.Entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[1].answer.ToVector(), std::vector<GraphId>{1});
+  EXPECT_EQ(entries[2].answer.ToVector(), std::vector<GraphId>{3});
 }
 
 TEST(ShardedCacheTest, AddedGraphJoinsFlushedAndWindowedAnswers) {
@@ -719,7 +737,7 @@ TEST(ConcurrentEngineTest, MutatedShardedSnapshotRoundTrips) {
   ASSERT_TRUE(engine.SaveSnapshot(snapshot, &error)) << error;
 
   // Restores only at the exact mutation state: the snapshot stamps the
-  // epoch + tombstones, and the sharded load re-seeds the dead-id set.
+  // epoch + tombstones.
   auto restored_method =
       MethodRegistry::Create(QueryDirection::kSubgraph, "grapes");
   ConcurrentQueryEngine restored(*db, restored_method.get(), options);

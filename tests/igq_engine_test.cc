@@ -247,7 +247,7 @@ TEST(IgqEngineTest, MetadataCreditsAccumulate) {
     // credited with the hit (entries may have been reshuffled afterwards by
     // the flush, so locate it by graph).
     bool found_credit = false;
-    for (const CachedQuery& entry : engine.cache().entries()) {
+    for (const CachedQuery& entry : engine.cache().Entries()) {
       if (entry.graph == big && entry.meta.hits >= 1) found_credit = true;
     }
     EXPECT_TRUE(found_credit);

@@ -3,8 +3,8 @@
 // according to their metric, and none may affect answer correctness.
 #include <gtest/gtest.h>
 
-#include "igq/cache.h"
 #include "igq/engine.h"
+#include "igq/sharded_cache.h"
 #include "methods/ggsx.h"
 #include "tests/test_util.h"
 
@@ -21,7 +21,18 @@ IgqOptions PolicyOptions(ReplacementPolicy policy, size_t capacity,
   options.replacement_policy = policy;
   options.cache_capacity = capacity;
   options.window_size = window;
+  options.cache_shards = 1;
   return options;
+}
+
+// Credits the cached entry isomorphic to `graph` through a probe session,
+// the engines' own crediting path: H += 1, then R += removed, C += cost.
+void Credit(ShardedQueryCache& cache, const Graph& graph, uint64_t removed = 0,
+            LogValue cost = LogValue::Zero()) {
+  auto probe = cache.Probe(graph, cache.ExtractFeatures(graph));
+  ASSERT_TRUE(probe.has_exact());
+  probe.CreditHit(probe.exact());
+  probe.CreditPrune(probe.exact(), removed, cost);
 }
 
 // Fills a capacity-2 cache with graphs a and b, gives them metadata via the
@@ -32,23 +43,19 @@ struct EvictionOutcome {
   bool b_survived = false;
 };
 
-EvictionOutcome RunEviction(ReplacementPolicy policy,
-                            const std::function<void(QueryCache&, size_t a_pos,
-                                                     size_t b_pos)>& credit) {
-  QueryCache cache(PolicyOptions(policy, 2, 1));
+EvictionOutcome RunEviction(
+    ReplacementPolicy policy,
+    const std::function<void(ShardedQueryCache&, const Graph& a,
+                             const Graph& b)>& credit) {
+  ShardedQueryCache cache(PolicyOptions(policy, 2, 1));
   const Graph a = PathGraph({1, 1});
   const Graph b = PathGraph({2, 2});
   cache.Insert(a, {});
   cache.Insert(b, {});
-  size_t a_pos = SIZE_MAX, b_pos = SIZE_MAX;
-  for (size_t i = 0; i < cache.entries().size(); ++i) {
-    if (cache.entries()[i].graph == a) a_pos = i;
-    if (cache.entries()[i].graph == b) b_pos = i;
-  }
-  credit(cache, a_pos, b_pos);
+  credit(cache, a, b);
   cache.Insert(PathGraph({3, 3}), {});
   EvictionOutcome outcome;
-  for (const CachedQuery& entry : cache.entries()) {
+  for (const CachedQuery& entry : cache.Entries()) {
     outcome.a_survived |= entry.graph == a;
     outcome.b_survived |= entry.graph == b;
   }
@@ -58,12 +65,12 @@ EvictionOutcome RunEviction(ReplacementPolicy policy,
 TEST(ReplacementPolicyTest, UtilityKeepsCostSaver) {
   // b saved expensive tests; a was hit often but saved nothing.
   const EvictionOutcome outcome = RunEviction(
-      ReplacementPolicy::kUtility, [](QueryCache& cache, size_t a, size_t b) {
+      ReplacementPolicy::kUtility,
+      [](ShardedQueryCache& cache, const Graph& a, const Graph& b) {
         cache.RecordQueryProcessed();
-        cache.CreditHit(a);
-        cache.CreditHit(a);
-        cache.CreditHit(b);
-        cache.CreditPrune(b, 3, LogValue::FromLinear(1e9));
+        Credit(cache, a);
+        Credit(cache, a);
+        Credit(cache, b, 3, LogValue::FromLinear(1e9));
       });
   EXPECT_FALSE(outcome.a_survived);
   EXPECT_TRUE(outcome.b_survived);
@@ -73,12 +80,11 @@ TEST(ReplacementPolicyTest, PopularityKeepsFrequentlyHit) {
   // a is hit twice, b saved huge cost on one hit: popularity keeps a.
   const EvictionOutcome outcome = RunEviction(
       ReplacementPolicy::kPopularity,
-      [](QueryCache& cache, size_t a, size_t b) {
+      [](ShardedQueryCache& cache, const Graph& a, const Graph& b) {
         cache.RecordQueryProcessed();
-        cache.CreditHit(a);
-        cache.CreditHit(a);
-        cache.CreditHit(b);
-        cache.CreditPrune(b, 3, LogValue::FromLinear(1e9));
+        Credit(cache, a);
+        Credit(cache, a);
+        Credit(cache, b, 3, LogValue::FromLinear(1e9));
       });
   EXPECT_TRUE(outcome.a_survived);
   EXPECT_FALSE(outcome.b_survived);
@@ -86,11 +92,12 @@ TEST(ReplacementPolicyTest, PopularityKeepsFrequentlyHit) {
 
 TEST(ReplacementPolicyTest, LruKeepsRecentlyHit) {
   const EvictionOutcome outcome = RunEviction(
-      ReplacementPolicy::kLru, [](QueryCache& cache, size_t a, size_t b) {
+      ReplacementPolicy::kLru,
+      [](ShardedQueryCache& cache, const Graph& a, const Graph& b) {
         cache.RecordQueryProcessed();
-        cache.CreditHit(a);
+        Credit(cache, a);
         cache.RecordQueryProcessed();
-        cache.CreditHit(b);  // b hit later
+        Credit(cache, b);  // b hit later
       });
   EXPECT_FALSE(outcome.a_survived);
   EXPECT_TRUE(outcome.b_survived);
@@ -99,10 +106,10 @@ TEST(ReplacementPolicyTest, LruKeepsRecentlyHit) {
 TEST(ReplacementPolicyTest, FifoIgnoresMetadata) {
   // a is older; FIFO evicts it regardless of hits/cost.
   const EvictionOutcome outcome = RunEviction(
-      ReplacementPolicy::kFifo, [](QueryCache& cache, size_t a, size_t b) {
+      ReplacementPolicy::kFifo,
+      [](ShardedQueryCache& cache, const Graph& a, const Graph& b) {
         cache.RecordQueryProcessed();
-        cache.CreditHit(a);
-        cache.CreditPrune(a, 5, LogValue::FromLinear(1e9));
+        Credit(cache, a, 5, LogValue::FromLinear(1e9));
         (void)b;
       });
   EXPECT_FALSE(outcome.a_survived);

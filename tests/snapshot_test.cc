@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "features/canonical.h"
-#include "igq/cache.h"
 #include "igq/engine.h"
 #include "igq/mutation.h"
+#include "igq/sharded_cache.h"
 #include "methods/feature_count_index.h"
 #include "methods/ggsx.h"
 #include "methods/grapes.h"
@@ -80,7 +80,7 @@ QueryTrace TraceQuery(QueryEngine& engine, const Graph& query) {
   trace.isuper_hits = stats.isuper_hits;
   trace.iso_tests = stats.iso_tests;
   trace.candidates_final = stats.candidates_final;
-  for (const CachedQuery& entry : engine.cache().entries()) {
+  for (const CachedQuery& entry : engine.cache().Entries()) {
     trace.cached_ids.push_back(entry.id);
   }
   return trace;
@@ -821,19 +821,32 @@ TEST(SnapshotRejectionTest, MutationSectionCorruptionSwept) {
 
 // ---- Canonical-key persistence (record version 2 + v1 fallback). ----
 
-TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
+IgqOptions OneShardOptions(size_t capacity, size_t window) {
   IgqOptions options;
-  options.cache_capacity = 32;
-  options.window_size = 4;
-  const IgqOptions validated = ValidatedIgqOptions(options);
-  QueryCache cache(validated, /*universe=*/20);
+  options.cache_capacity = capacity;
+  options.window_size = window;
+  options.cache_shards = 1;
+  return ValidatedIgqOptions(options);
+}
+
+// An exact-hit lookup that credits nothing.
+bool ExactHit(ShardedQueryCache& cache, const std::string& key,
+              std::vector<GraphId>* answer) {
+  return cache.TryExactHit(
+      key, [](std::span<const GraphId>) { return ShardedQueryCache::Credit{}; },
+      answer);
+}
+
+TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
+  const IgqOptions validated = OneShardOptions(32, 4);
+  ShardedQueryCache cache(validated, /*universe=*/20);
 
   Rng rng(71);
   for (int i = 0; i < 12; ++i) {
     cache.Insert(RandomConnectedGraph(rng, 6 + rng.Below(5), 4, 3),
                  {static_cast<GraphId>(i)});
   }
-  cache.Flush();
+  cache.FlushAll();
   ASSERT_GT(cache.size(), 0u);
 
   std::ostringstream payload;
@@ -842,78 +855,178 @@ TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
     cache.Save(writer, /*num_graphs=*/20, /*dataset_crc=*/0xABCD);
     ASSERT_TRUE(writer.ok());
   }
-  QueryCache restored(validated, /*universe=*/20);
+  ShardedQueryCache restored(validated, /*universe=*/20);
   std::istringstream in(payload.str());
   snapshot::BinaryReader reader(in);
   ASSERT_TRUE(restored.Load(reader, 20, 0xABCD));
 
   // The stored keys survive byte-identically, and the rebuilt map resolves
-  // them to the same positions as the producing cache.
-  ASSERT_EQ(restored.size(), cache.size());
-  for (size_t i = 0; i < cache.size(); ++i) {
-    const std::string& key = cache.entries()[i].canonical;
+  // each of them to its entry's answer.
+  const std::vector<CachedQuery> entries = cache.Entries();
+  const std::vector<CachedQuery> restored_entries = restored.Entries();
+  ASSERT_EQ(restored_entries.size(), entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const std::string& key = entries[i].canonical;
     EXPECT_FALSE(key.empty());
-    EXPECT_EQ(restored.entries()[i].canonical, key) << "entry " << i;
-    EXPECT_EQ(restored.FindExactByKey(key), cache.FindExactByKey(key))
-        << "entry " << i;
+    EXPECT_EQ(restored_entries[i].canonical, key) << "entry " << i;
+    std::vector<GraphId> answer;
+    EXPECT_TRUE(ExactHit(restored, key, &answer)) << "entry " << i;
+    EXPECT_EQ(answer, entries[i].answer.ToVector()) << "entry " << i;
   }
 }
 
+// Writes one cached-query record in the given record version (1: no
+// canonical key; 2: with it), as docs/FORMATS.md lays it out.
+void WriteRecord(snapshot::BinaryWriter& writer, uint32_t version,
+                 uint64_t id, const Graph& graph,
+                 std::span<const GraphId> answer,
+                 const QueryGraphMetadata& meta) {
+  writer.WriteU64(id);
+  snapshot::WriteGraph(writer, graph);
+  if (version >= 2) writer.WriteString(GraphCanonicalCode(graph));
+  writer.WriteU64(answer.size());
+  for (GraphId member : answer) writer.WriteU32(member);
+  writer.WriteU64(meta.hits);
+  writer.WriteU64(meta.inserted_at);
+  writer.WriteU64(meta.removed_candidates);
+  writer.WriteDouble(meta.cost_saved.log());
+  writer.WriteU64(meta.last_hit_at);
+}
+
+// Writes the header of a section-1 (one-shard, no shard count) payload.
+void WriteOneShardHeader(snapshot::BinaryWriter& writer, uint32_t version,
+                         const IgqOptions& options, uint64_t num_graphs,
+                         uint32_t dataset_crc, uint64_t queries_processed,
+                         uint64_t next_id) {
+  writer.WriteU32(version);
+  writer.WriteU32(static_cast<uint32_t>(options.path_max_edges));
+  writer.WriteU64(options.cache_capacity);
+  writer.WriteU64(options.window_size);
+  writer.WriteU8(static_cast<uint8_t>(options.replacement_policy));
+  writer.WriteU64(num_graphs);
+  writer.WriteU32(dataset_crc);
+  writer.WriteU64(queries_processed);
+  writer.WriteU64(next_id);
+}
+
 TEST(CacheStateTest, Version1PayloadLoadsByRecomputingCanonicalKeys) {
-  // A hand-built version-1 cache payload — the exact pre-key layout, no
+  // A hand-built version-1 section-1 payload — the exact pre-key layout, no
   // canonical string in the records — must still load, with the keys
   // recomputed from the graphs so the fast path works on old snapshots.
-  IgqOptions options;
-  options.cache_capacity = 8;
-  options.window_size = 2;
-  const IgqOptions validated = ValidatedIgqOptions(options);
+  const IgqOptions validated = OneShardOptions(8, 2);
 
   std::ostringstream payload;
   snapshot::BinaryWriter writer(payload);
-  writer.WriteU32(1);  // version 1: records carry no canonical key
-  writer.WriteU32(static_cast<uint32_t>(validated.path_max_edges));
-  writer.WriteU64(validated.cache_capacity);
-  writer.WriteU64(validated.window_size);
-  writer.WriteU8(static_cast<uint8_t>(validated.replacement_policy));
-  writer.WriteU64(10);      // num_graphs
-  writer.WriteU32(0x1234);  // dataset crc
-  writer.WriteU64(5);       // queries_processed
-  writer.WriteU64(2);       // next_id
-  auto write_v1_record = [&writer](uint64_t id, const Graph& graph,
-                                   std::span<const GraphId> answer) {
-    writer.WriteU64(id);
-    snapshot::WriteGraph(writer, graph);
-    writer.WriteU64(answer.size());
-    for (GraphId member : answer) writer.WriteU32(member);
-    writer.WriteU64(0);  // hits
-    writer.WriteU64(0);  // inserted_at
-    writer.WriteU64(0);  // removed_candidates
-    writer.WriteDouble(LogValue::Zero().log());
-    writer.WriteU64(0);  // last_hit_at
-  };
+  WriteOneShardHeader(writer, /*version=*/1, validated, /*num_graphs=*/10,
+                      /*dataset_crc=*/0x1234, /*queries_processed=*/5,
+                      /*next_id=*/2);
   const Graph a = testing::PathGraph({1, 2, 3});
   const Graph b = testing::Triangle(4, 4, 4);
   writer.WriteU64(2);  // flushed entries
   const std::vector<GraphId> answer_a{1, 4};
   const std::vector<GraphId> answer_b{2};
-  write_v1_record(0, a, answer_a);
-  write_v1_record(1, b, answer_b);
+  WriteRecord(writer, 1, 0, a, answer_a, {});
+  WriteRecord(writer, 1, 1, b, answer_b, {});
   writer.WriteU64(0);  // empty window
   ASSERT_TRUE(writer.ok());
 
-  QueryCache cache(validated, /*universe=*/10);
+  ShardedQueryCache cache(validated, /*universe=*/10);
   std::istringstream in(payload.str());
   snapshot::BinaryReader reader(in);
-  ASSERT_TRUE(cache.Load(reader, 10, 0x1234));
+  ASSERT_TRUE(cache.Load(reader, 10, 0x1234, /*with_shard_count=*/false));
   ASSERT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.entries()[0].canonical, GraphCanonicalCode(a));
-  EXPECT_EQ(cache.entries()[1].canonical, GraphCanonicalCode(b));
+  const std::vector<CachedQuery> entries = cache.Entries();
+  EXPECT_EQ(entries[0].canonical, GraphCanonicalCode(a));
+  EXPECT_EQ(entries[1].canonical, GraphCanonicalCode(b));
 
   // The recomputed keys are live in the map: an isomorphic copy (the same
   // path written from the other end) resolves to the restored entry.
   const Graph reversed = testing::PathGraph({3, 2, 1});
-  EXPECT_EQ(cache.FindExactByKey(GraphCanonicalCode(reversed)), 0u);
-  EXPECT_EQ(cache.entries()[0].answer.ToVector(), answer_a);
+  std::vector<GraphId> answer;
+  EXPECT_TRUE(ExactHit(cache, GraphCanonicalCode(reversed), &answer));
+  EXPECT_EQ(answer, answer_a);
+}
+
+TEST(CacheStateTest, OneShardSectionSnapshotLoadsIntoQueryEngine) {
+  // A snapshot as older builds' sequential engine wrote it: the cache state
+  // in section 1, payload version 2, no shard count. It must restore into
+  // QueryEngine with its entries, answers, window, and §5.1 metadata.
+  const GraphDatabase db = MakeDb(83, 16);
+  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  method->Build(db);
+  const IgqOptions options = OneShardOptions(8, 3);
+
+  Rng rng(84);
+  std::vector<Graph> graphs;
+  std::vector<std::vector<GraphId>> answers;
+  std::vector<QueryGraphMetadata> metas;
+  for (uint64_t i = 0; i < 3; ++i) {
+    graphs.push_back(RandomSubgraphOf(rng, db.graphs[i], 4 + i));
+    answers.push_back(BruteForceSubgraphAnswer(db.graphs, graphs.back()));
+    QueryGraphMetadata meta;
+    meta.hits = i + 1;
+    meta.inserted_at = i;
+    meta.removed_candidates = 10 * (i + 1);
+    meta.cost_saved = LogValue::FromLinear(1000.0 * static_cast<double>(i + 1));
+    meta.last_hit_at = 4 + i;
+    metas.push_back(meta);
+  }
+  std::ostringstream payload;
+  {
+    snapshot::BinaryWriter writer(payload);
+    WriteOneShardHeader(writer, /*version=*/2, options, db.graphs.size(),
+                        snapshot::DatasetFingerprint(db.graphs),
+                        /*queries_processed=*/9, /*next_id=*/3);
+    writer.WriteU64(2);  // flushed entries
+    WriteRecord(writer, 2, 0, graphs[0], answers[0], metas[0]);
+    WriteRecord(writer, 2, 1, graphs[1], answers[1], metas[1]);
+    writer.WriteU64(1);  // one window (Itemp) entry
+    WriteRecord(writer, 2, 2, graphs[2], answers[2], metas[2]);
+    ASSERT_TRUE(writer.ok());
+  }
+  std::stringstream file;
+  snapshot::WriteSnapshotHeader(file);
+  snapshot::WriteSection(file, snapshot::kSectionOneShardCache, payload.str());
+  snapshot::WriteSnapshotEnd(file);
+
+  QueryEngine engine(db, method.get(), options);
+  std::string error;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(engine.LoadSnapshot(file, &error, &info)) << error;
+  EXPECT_FALSE(info.method_index_restored);
+  EXPECT_EQ(info.cached_queries, 2u);
+  EXPECT_EQ(engine.cache().size(), 2u);
+  EXPECT_EQ(engine.cache().window_fill(), 1u);
+  EXPECT_EQ(engine.cache().queries_processed(), 9u);
+  const std::vector<CachedQuery> entries = engine.cache().Entries();
+  ASSERT_EQ(entries.size(), 3u);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].id, i);
+    EXPECT_EQ(entries[i].graph, graphs[i]) << "entry " << i;
+    EXPECT_EQ(entries[i].canonical, GraphCanonicalCode(graphs[i]));
+    EXPECT_EQ(entries[i].answer.ToVector(), answers[i]) << "entry " << i;
+    EXPECT_EQ(entries[i].meta.hits, metas[i].hits);
+    EXPECT_EQ(entries[i].meta.inserted_at, metas[i].inserted_at);
+    EXPECT_EQ(entries[i].meta.removed_candidates,
+              metas[i].removed_candidates);
+    EXPECT_EQ(entries[i].meta.cost_saved.log(), metas[i].cost_saved.log());
+    EXPECT_EQ(entries[i].meta.last_hit_at, metas[i].last_hit_at);
+  }
+
+  // The restored window entry answers its repeat as an exact hit.
+  QueryStats stats;
+  EXPECT_EQ(engine.Process(graphs[2], &stats), answers[2]);
+  EXPECT_EQ(stats.shortcut, ShortcutKind::kExactHit);
+
+  // A cache of more than one shard cannot take the one-shard layout.
+  IgqOptions sharded = options;
+  sharded.cache_shards = 2;
+  ShardedQueryCache two_shards(ValidatedIgqOptions(sharded), db.graphs.size());
+  std::istringstream in(payload.str());
+  snapshot::BinaryReader reader(in);
+  EXPECT_FALSE(two_shards.Load(reader, db.graphs.size(),
+                               snapshot::DatasetFingerprint(db.graphs),
+                               /*with_shard_count=*/false));
 }
 
 }  // namespace

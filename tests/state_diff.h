@@ -13,8 +13,8 @@
 
 #include <cstddef>
 
-#include "igq/cache.h"
 #include "igq/engine.h"
+#include "igq/sharded_cache.h"
 
 namespace igq {
 namespace testing {
@@ -32,18 +32,21 @@ inline void ExpectSameStats(const QueryStats& a, const QueryStats& b,
       << "op " << op;
 }
 
-/// Full behavioral-state equality of the two caches: entries, window fill,
-/// answers, and the §5.1 credit sequences (H, insertion clock, R, C, last
-/// hit). Cost credits accumulate in the same order on both arms, so even
-/// the log-space doubles must match bitwise.
-inline void ExpectSameCacheState(const QueryCache& a, const QueryCache& b,
-                                 size_t op) {
+/// Full behavioral-state equality of the two caches: flushed and window
+/// entries, answers, and the §5.1 credit sequences (H, insertion clock, R,
+/// C, last hit). Cost credits accumulate in the same order on both arms, so
+/// even the log-space doubles must match bitwise.
+inline void ExpectSameCacheState(const ShardedQueryCache& a,
+                                 const ShardedQueryCache& b, size_t op) {
   ASSERT_EQ(a.size(), b.size()) << "op " << op;
   ASSERT_EQ(a.window_fill(), b.window_fill()) << "op " << op;
   EXPECT_EQ(a.queries_processed(), b.queries_processed()) << "op " << op;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const CachedQuery& ea = a.entries()[i];
-    const CachedQuery& eb = b.entries()[i];
+  const std::vector<CachedQuery> entries_a = a.Entries();
+  const std::vector<CachedQuery> entries_b = b.Entries();
+  ASSERT_EQ(entries_a.size(), entries_b.size()) << "op " << op;
+  for (size_t i = 0; i < entries_a.size(); ++i) {
+    const CachedQuery& ea = entries_a[i];
+    const CachedQuery& eb = entries_b[i];
     EXPECT_EQ(ea.id, eb.id) << "op " << op << " entry " << i;
     EXPECT_EQ(ea.answer.ToVector(), eb.answer.ToVector())
         << "op " << op << " entry " << i;
