@@ -25,8 +25,7 @@
 #include "features/path_enumerator.h"
 #include "graph/algorithms.h"
 #include "graph/csr_view.h"
-#include "igq/isub_index.h"
-#include "igq/isuper_index.h"
+#include "igq/probe_index.h"
 #include "igq/pruning.h"
 #include "isomorphism/cost_model.h"
 #include "isomorphism/match_core.h"
@@ -603,11 +602,13 @@ int RunSmoke() {
       const VertexId root =
           i % 2 == 0 ? 7 : static_cast<VertexId>(crng.Below(300));
       cached[i].graph = BfsNeighborhoodQuery(host, root, 4 + (i % 9) * 2);
+      // As the cache builds its entries: probe data from the features the
+      // query was probed with.
+      cached[i].probe = MakeProbeData(
+          cached[i].graph, CountPathFeatures(cached[i].graph, popts));
     }
-    IsubIndex isub(popts);
-    isub.Build(cached);
-    IsuperIndex isuper(popts);
-    isuper.Build(cached);
+    ProbeIndex index(popts);
+    index.Build(cached);
     const Graph probe_query = BfsNeighborhoodQuery(host, 7, 12);
     const PathFeatureCounts features = CountPathFeatures(probe_query, popts);
     std::vector<size_t> isub_hits, isuper_hits;
@@ -615,14 +616,14 @@ int RunSmoke() {
     // narrowing), so every buffer needs a few passes to reach the capacity
     // of its largest role before the steady state is allocation-free.
     for (int pass = 0; pass < 3; ++pass) {
-      isub.FindSupergraphsOf(probe_query, features, &isub_hits);
-      isuper.FindSubgraphsOf(probe_query, features, &isuper_hits);
+      index.FindSupergraphsOf(probe_query, features, &isub_hits);
+      index.FindSubgraphsOf(probe_query, features, &isuper_hits);
     }
     const uint64_t probe_before = AllocationsNow();
     size_t total_hits = 0;
     for (int pass = 0; pass < 3; ++pass) {
-      isub.FindSupergraphsOf(probe_query, features, &isub_hits);
-      isuper.FindSubgraphsOf(probe_query, features, &isuper_hits);
+      index.FindSupergraphsOf(probe_query, features, &isub_hits);
+      index.FindSubgraphsOf(probe_query, features, &isuper_hits);
       total_hits += isub_hits.size() + isuper_hits.size();
     }
     const uint64_t probe_allocs = AllocationsNow() - probe_before;

@@ -33,4 +33,10 @@ std::vector<Label> UnpackPathKey(PathKey key) {
   return labels;
 }
 
+SortedPathFeatures SortPathFeatures(const PathFeatureCounts& counts) {
+  SortedPathFeatures sorted(counts.begin(), counts.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
 }  // namespace igq

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -49,6 +50,14 @@ inline Label PathKeyLabelAt(PathKey key, size_t i) {
 /// convention is applied uniformly to dataset and query graphs, which is all
 /// the counting filters require.
 using PathFeatureCounts = std::unordered_map<PathKey, uint32_t>;
+
+/// The same multiset as a key-ascending vector: the order feature-trie
+/// postings are filed in, and the compact form to keep when a graph's
+/// features are stored once and re-indexed many times.
+using SortedPathFeatures = std::vector<std::pair<PathKey, uint32_t>>;
+
+/// `counts` in key order.
+SortedPathFeatures SortPathFeatures(const PathFeatureCounts& counts);
 
 /// Multiset of string-keyed features (canonical trees / cycles).
 using StringFeatureCounts = std::unordered_map<std::string, uint32_t>;

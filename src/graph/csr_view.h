@@ -137,24 +137,13 @@ class CsrGraphView {
 
 /// Precomputed views for a whole graph collection — dataset graphs are
 /// verified by every query that survives filtering, so their CSR layout is
-/// built ONCE (at method Build/LoadIndex time, or at cache index rebuild
-/// time) and amortized across all of them. Immutable after Build;
-/// concurrent reads are safe.
+/// built ONCE (at method Build/LoadIndex time) and amortized across all of
+/// them. Immutable after Build; concurrent reads are safe.
 class CsrViewStore {
  public:
   void Build(std::span<const Graph> graphs) {
-    Build(graphs.size(), [&graphs](size_t i) -> const Graph& {
-      return graphs[i];
-    });
-  }
-
-  /// As Build(span), for collections that don't store Graphs contiguously
-  /// (e.g. the cache's CachedQuery records): `graph_at(i)` returns the
-  /// i-th graph.
-  template <typename GraphAt>
-  void Build(size_t count, GraphAt&& graph_at) {
-    views_.resize(count);
-    for (size_t i = 0; i < count; ++i) views_[i].Assign(graph_at(i));
+    views_.resize(graphs.size());
+    for (size_t i = 0; i < graphs.size(); ++i) views_[i].Assign(graphs[i]);
   }
   /// Appends one view at the next index — the incremental-maintenance hook
   /// (Method::OnAddGraph): ids only ever grow, so an added graph extends

@@ -367,11 +367,13 @@ void ConcurrentQueryEngine::Execute(const Graph& query,
   };
   std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
   std::vector<const CachedQuery*> guarantee, intersect;
+  PathFeatureCounts features;  // extracted for the probe, reused by Insert
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
     {
       ScopedTimer probe_timer(probe_sink);
-      session.emplace(cache_->Probe(query, cache_->ExtractFeatures(query)));
+      features = cache_->ExtractFeatures(query);
+      session.emplace(cache_->Probe(query, features));
     }
     // A stop during the probe makes its results garbage (an interrupted
     // containment search aliases to a hit/miss) — abort without facts.
@@ -481,7 +483,9 @@ void ConcurrentQueryEngine::Execute(const Graph& query,
   }
   // Insert (which registers the canonical key in the cache) strictly before
   // the publish guard unregisters the in-flight record — see PublishGuard.
-  cache_->Insert(query, result->answer, canonical);
+  // An insertion that fills its shard's window runs the flush here, on this
+  // stream's thread.
+  cache_->Insert(query, result->answer, canonical, features);
   publish.Publish(result->answer);
 }
 

@@ -127,6 +127,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   const QueryDirection direction = method_->Direction();
   std::optional<ShardedQueryCache::ProbeSession> session;
   std::string canonical;
+  PathFeatureCounts features;  // extracted for the probe, reused by Insert
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
     {
@@ -148,7 +149,8 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       }
       // The key map holds every entry the probe scans, so the probe's own
       // §4.3 exact match cannot fire here: only containments remain.
-      session.emplace(cache_->Probe(query, cache_->ExtractFeatures(query)));
+      features = cache_->ExtractFeatures(query);
+      session.emplace(cache_->Probe(query, features));
     }
     // A stop during the probe makes its results garbage (an interrupted
     // containment search aliases to a hit/miss) — abort without facts.
@@ -238,8 +240,9 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   if (control.stopped()) return stop(true, std::move(result->answer));
 
   // Stages 6-8 (Fig. 6): commit — the query clock tick, the buffered
-  // credits in consultation order, then the insertion. Maintenance (window
-  // flush + shadow rebuild) is timed inside the cache, off the query path.
+  // credits in consultation order, then the insertion. An insertion that
+  // fills the window runs the flush (eviction + shadow rebuild) here, on
+  // this query's thread and inside its time; the cache also times it.
   if (options_.enabled) {
     cache_->RecordQueryProcessed();
     for (const PendingCredit& credit : pending_credits) {
@@ -248,7 +251,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
     }
     // Insert takes the shard lock exclusively; the session holds it shared.
     session.reset();
-    cache_->Insert(query, result->answer, std::move(canonical));
+    cache_->Insert(query, result->answer, std::move(canonical), features);
   }
 }
 

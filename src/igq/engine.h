@@ -47,7 +47,9 @@ struct QueryStats {
   int64_t filter_micros = 0;   // host-method filtering stage
   int64_t probe_micros = 0;    // iGQ index probing + candidate pruning
   int64_t verify_micros = 0;   // verification stage
-  int64_t total_micros = 0;    // end-to-end (excludes amortized maintenance)
+  /// End-to-end. Includes the cache flush when this query's insertion
+  /// filled a window: the flush runs on the inserting query's thread.
+  int64_t total_micros = 0;
 
   size_t candidates_initial = 0;  // |CS(g)| from the host method
   size_t candidates_final = 0;    // |CS_igq(g)| actually verified

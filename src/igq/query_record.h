@@ -3,6 +3,7 @@
 #define IGQ_IGQ_QUERY_RECORD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,8 @@
 #include "methods/method.h"
 
 namespace igq {
+
+struct ProbeData;  // igq/probe_index.h
 
 /// Replacement-policy statistics for one cached query graph g (§5.1):
 ///   H(g) hits, M(g) queries processed since insertion, R(g) candidates
@@ -54,6 +57,12 @@ struct CachedQuery {
   std::string canonical;
   IdSet answer;
   QueryGraphMetadata meta;
+  /// What the probe index needs of `graph` (its path features, CSR view and
+  /// search plan), built once when the entry is created — from the
+  /// features its query was probed with, or from `graph` on snapshot load —
+  /// and shared, never rebuilt, by every flush that keeps the entry. Derived
+  /// data: not persisted.
+  std::shared_ptr<const ProbeData> probe;
 };
 
 }  // namespace igq

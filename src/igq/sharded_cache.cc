@@ -136,9 +136,7 @@ ShardedQueryCache::ShardedQueryCache(const IgqOptions& options,
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->entries = std::make_unique<std::vector<CachedQuery>>();
-    shard->isub = IsubIndex(enumerator_options_);
-    shard->isuper = IsuperIndex(enumerator_options_);
+    shard->index = ProbeIndex(enumerator_options_);
     shards_.push_back(std::move(shard));
   }
 }
@@ -154,13 +152,13 @@ ShardedQueryCache::ProbeSession::ProbeSession(ShardedQueryCache* owner)
 
 const CachedQuery& ShardedQueryCache::ProbeSession::entry(
     const Hit& hit) const {
-  return (*owner_->shards_[hit.shard]->entries)[hit.position];
+  return owner_->shards_[hit.shard]->entries[hit.position];
 }
 
 void ShardedQueryCache::ProbeSession::CreditHit(const Hit& hit) const {
   Shard& shard = *owner_->shards_[hit.shard];
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = (*shard.entries)[hit.position].meta;
+  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
   ++meta.hits;
   meta.last_hit_at = owner_->queries_processed_.load(std::memory_order_relaxed);
 }
@@ -170,7 +168,7 @@ void ShardedQueryCache::ProbeSession::CreditPrune(const Hit& hit,
                                                   LogValue cost) const {
   Shard& shard = *owner_->shards_[hit.shard];
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = (*shard.entries)[hit.position].meta;
+  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
   meta.removed_candidates += removed;
   meta.cost_saved += cost;
 }
@@ -180,7 +178,7 @@ void ShardedQueryCache::ProbeSession::CreditExactHit(const Hit& hit,
                                                      LogValue cost) const {
   Shard& shard = *owner_->shards_[hit.shard];
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = (*shard.entries)[hit.position].meta;
+  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
   ++meta.hits;
   meta.last_hit_at = owner_->queries_processed_.load(std::memory_order_relaxed);
   meta.removed_candidates += removed;
@@ -202,14 +200,14 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
   static thread_local std::vector<size_t> positions;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
-    if (shard.entries->empty()) continue;
-    shard.isub.FindSupergraphsOf(query, query_features, &positions,
-                                 &session.probe_iso_tests_);
+    if (shard.entries.empty()) continue;
+    shard.index.FindSupergraphsOf(query, query_features, &positions,
+                                  &session.probe_iso_tests_);
     for (size_t position : positions) {
       session.supergraph_hits_.push_back(Hit{s, position});
     }
-    shard.isuper.FindSubgraphsOf(query, query_features, &positions,
-                                 &session.probe_iso_tests_);
+    shard.index.FindSubgraphsOf(query, query_features, &positions,
+                                &session.probe_iso_tests_);
     for (size_t position : positions) {
       session.subgraph_hits_.push_back(Hit{s, position});
     }
@@ -218,7 +216,7 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
   // means isomorphism. Deterministic scan order: supergraph side first,
   // then subgraph side, each in shard order.
   auto is_exact = [this, &query](const Hit& hit) {
-    const Graph& g = (*shards_[hit.shard]->entries)[hit.position].graph;
+    const Graph& g = shards_[hit.shard]->entries[hit.position].graph;
     return g.NumVertices() == query.NumVertices() &&
            g.NumEdges() == query.NumEdges();
   };
@@ -259,8 +257,8 @@ bool ShardedQueryCache::TryExactHit(
   CachedQuery* record = nullptr;
   if (ref.in_window) {
     if (ref.index < shard.window.size()) record = &shard.window[ref.index];
-  } else if (ref.index < shard.entries->size()) {
-    record = &(*shard.entries)[ref.index];
+  } else if (ref.index < shard.entries.size()) {
+    record = &shard.entries[ref.index];
   }
   if (record == nullptr || record->id != ref.id) return false;
   *answer = record->answer.ToVector();
@@ -281,14 +279,19 @@ bool ShardedQueryCache::TryExactHit(
 
 void ShardedQueryCache::Insert(const Graph& query,
                                std::vector<GraphId> answer) {
-  Insert(query, std::move(answer), GraphCanonicalCode(query));
+  Insert(query, std::move(answer), GraphCanonicalCode(query),
+         ExtractFeatures(query));
 }
 
 void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
-                               std::string canonical) {
+                               std::string canonical,
+                               const PathFeatureCounts& features) {
   const uint64_t query_hash = GraphShardHash(query);
   const size_t shard_index = static_cast<size_t>(query_hash % shards_.size());
   Shard& shard = *shards_[shard_index];
+  // The entry's probe data — the only derivation it will ever get — is
+  // built before the exclusive section, which stays cheap.
+  std::shared_ptr<const ProbeData> probe = MakeProbeData(query, features);
   bool flush_due = false;
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
@@ -300,7 +303,7 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
     // cheap even on full shards.
     for (size_t i = 0; i < shard.entry_hashes.size(); ++i) {
       if (shard.entry_hashes[i] == query_hash &&
-          (*shard.entries)[i].graph == query) {
+          shard.entries[i].graph == query) {
         return;
       }
     }
@@ -319,6 +322,7 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
     record.answer = IdSet::FromIds(std::move(answer), universe_);
     record.meta.inserted_at =
         queries_processed_.load(std::memory_order_relaxed);
+    record.probe = std::move(probe);
     const uint64_t record_id = record.id;
     shard.window.push_back(std::move(record));
     shard.window_hashes.push_back(query_hash);
@@ -353,7 +357,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
     Timer timer;
     size_t take = 0;
     std::vector<size_t> survivor_from;
-    auto staged = std::make_unique<std::vector<CachedQuery>>();
+    std::vector<CachedQuery> staged;
     std::vector<uint64_t> staged_hashes;
     const uint64_t now = queries_processed_.load(std::memory_order_relaxed);
     {
@@ -366,7 +370,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       if (take == 0 || (!force && shard.window.size() < shard_window_)) {
         return;
       }
-      const std::vector<CachedQuery>& entries = *shard.entries;
+      const std::vector<CachedQuery>& entries = shard.entries;
 
       // Eviction (§5.1) over a frozen metadata snapshot (the credit mutex
       // blocks H/R/C updates while victims are chosen and copied). The
@@ -392,27 +396,27 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
             });
         for (size_t i = 0; i < evict; ++i) evicted[order[i]] = true;
       }
-      staged->reserve(entries.size() + take);
+      staged.reserve(entries.size() + take);
       staged_hashes.reserve(entries.size() + take);
       for (size_t i = 0; i < entries.size(); ++i) {
         if (!evicted[i]) {
           survivor_from.push_back(i);
-          staged->push_back(entries[i]);
+          staged.push_back(entries[i]);
           staged_hashes.push_back(shard.entry_hashes[i]);
         }
       }
       for (size_t i = 0; i < take; ++i) {
-        staged->push_back(shard.window[i]);
+        staged.push_back(shard.window[i]);
         staged_hashes.push_back(shard.window_hashes[i]);
       }
     }
 
     // Shadow rebuild (§5.2) with no structure lock held: probes keep
-    // running against the old entries/indexes while the fresh ones build.
-    IsubIndex fresh_isub(enumerator_options_);
-    fresh_isub.Build(*staged);
-    IsuperIndex fresh_isuper(enumerator_options_);
-    fresh_isuper.Build(*staged);
+    // running against the old entries/index while the fresh index files
+    // the staged entries' stored features. Survivors share their probe
+    // data with the live copies, so nothing is re-derived.
+    ProbeIndex fresh_index(enumerator_options_);
+    fresh_index.Build(staged);
 
     bool more = false;
     {
@@ -423,13 +427,11 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       // need the same carry-over since the canonical fast path can credit
       // entries that are still in the window.
       for (size_t i = 0; i < survivor_from.size(); ++i) {
-        (*staged)[i].meta = (*shard.entries)[survivor_from[i]].meta;
+        staged[i].meta = shard.entries[survivor_from[i]].meta;
       }
       for (size_t i = 0; i < take; ++i) {
-        (*staged)[survivor_from.size() + i].meta = shard.window[i].meta;
+        staged[survivor_from.size() + i].meta = shard.window[i].meta;
       }
-      // The indexes point at the vector *object* behind the unique_ptr;
-      // moving the pointer in preserves that address.
       shard.entries = std::move(staged);
       shard.entry_hashes = std::move(staged_hashes);
       shard.window.erase(shard.window.begin(),
@@ -437,8 +439,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       shard.window_hashes.erase(
           shard.window_hashes.begin(),
           shard.window_hashes.begin() + static_cast<ptrdiff_t>(take));
-      shard.isub = std::move(fresh_isub);
-      shard.isuper = std::move(fresh_isuper);
+      shard.index = std::move(fresh_index);
       // Evictions, window promotions, and the window shift above all moved
       // canonical keys around; rewrite this shard's slice of the map while
       // the exclusive lock still blocks lookups from chasing dead refs.
@@ -465,7 +466,7 @@ void ShardedQueryCache::ReindexShardCanonicals(size_t shard_index) {
   // Flushed entries before window, so within the shard the flushed copy of
   // a key wins. Keys owned by other shards are left alone (try_emplace):
   // first registration wins across shards.
-  const std::vector<CachedQuery>& entries = *shard.entries;
+  const std::vector<CachedQuery>& entries = shard.entries;
   for (size_t i = 0; i < entries.size(); ++i) {
     canonical_index_.try_emplace(entries[i].canonical,
                                  CanonicalRef{shard_index, false, i,
@@ -494,29 +495,31 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
   std::vector<size_t> affected;
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    std::vector<CachedQuery>& entries = *shard->entries;
-    // The probe indexes verify containment with PlanContains, so their
+    std::vector<CachedQuery>& entries = shard->entries;
+    // The probe index verifies containment with PlanContains, so its
     // results are exact relationships, not candidates.
     if (subgraph) {
-      shard->isuper.FindSubgraphsOf(graph, features, &affected);
+      shard->index.FindSubgraphsOf(graph, features, &affected);
     } else {
-      shard->isub.FindSupergraphsOf(graph, features, &affected);
+      shard->index.FindSupergraphsOf(graph, features, &affected);
     }
     std::vector<uint8_t> gains(entries.size(), 0);
     for (size_t position : affected) gains[position] = 1;
     for (size_t i = 0; i < entries.size(); ++i) repatch(entries[i], gains[i]);
 
-    // Window entries are invisible to the probe indexes until their flush;
-    // test them directly: q ⊆ graph (subgraph) or graph ⊆ q (supergraph).
-    // Both halves live in this thread's match scratch, which the probe
-    // above reuses, so the new graph's half is set up after it, once.
+    // Window entries are invisible to the probe index until their flush;
+    // test them directly: q ⊆ graph (subgraph: the entry's stored plan
+    // against the new graph's view) or graph ⊆ q (supergraph: the new
+    // graph's plan against the entry's stored view). The new graph's half
+    // lives in this thread's match scratch, which the probe above reuses,
+    // so it is set up after it, once per shard.
     MatchContext& ctx = MatchContext::ThreadLocal();
-    MatchPlan& plan = ctx.scratch_plan();
-    CsrGraphView& view = ctx.scratch_target();
+    MatchPlan& added_plan = ctx.scratch_plan();
+    CsrGraphView& added_view = ctx.scratch_target();
     if (subgraph) {
-      view.Assign(graph);
+      added_view.Assign(graph);
     } else {
-      plan.Compile(graph);
+      added_plan.Compile(graph);
     }
     for (CachedQuery& queued : shard->window) {
       const Graph& pattern = subgraph ? queued.graph : graph;
@@ -524,12 +527,9 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
       bool gains_id = pattern.NumVertices() <= target.NumVertices() &&
                       pattern.NumEdges() <= target.NumEdges();
       if (gains_id) {
-        if (subgraph) {
-          plan.Compile(queued.graph);
-        } else {
-          view.Assign(queued.graph);
-        }
-        gains_id = PlanContains(plan, view, ctx);
+        gains_id = subgraph
+                       ? PlanContains(queued.probe->plan, added_view, ctx)
+                       : PlanContains(added_plan, queued.probe->view, ctx);
       }
       repatch(queued, gains_id);
     }
@@ -546,7 +546,7 @@ void ShardedQueryCache::ApplyGraphRemoved(GraphId id) {
   };
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    for (CachedQuery& record : *shard->entries) drop(record);
+    for (CachedQuery& record : shard->entries) drop(record);
     for (CachedQuery& record : shard->window) drop(record);
   }
 }
@@ -561,7 +561,7 @@ size_t ShardedQueryCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    total += shard->entries->size();
+    total += shard->entries.size();
   }
   return total;
 }
@@ -579,9 +579,8 @@ size_t ShardedQueryCache::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    bytes += sizeof(Shard) + shard->isub.MemoryBytes() +
-             shard->isuper.MemoryBytes();
-    for (const CachedQuery& record : *shard->entries) {
+    bytes += sizeof(Shard) + shard->index.MemoryBytes();
+    for (const CachedQuery& record : shard->entries) {
       bytes += record.graph.MemoryBytes();
       bytes += record.answer.MemoryBytes();
       bytes += record.canonical.capacity();
@@ -602,7 +601,7 @@ std::vector<CachedQuery> ShardedQueryCache::Entries() const {
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
     std::lock_guard<std::mutex> credits(shard->credit_mutex);
-    copies.insert(copies.end(), shard->entries->begin(), shard->entries->end());
+    copies.insert(copies.end(), shard->entries.begin(), shard->entries.end());
     copies.insert(copies.end(), shard->window.begin(), shard->window.end());
   }
   return copies;
@@ -629,8 +628,8 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
   writer.WriteU64(next_id_.load());
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> credits(shard->credit_mutex);
-    writer.WriteU64(shard->entries->size());
-    for (const CachedQuery& record : *shard->entries) {
+    writer.WriteU64(shard->entries.size());
+    for (const CachedQuery& record : shard->entries) {
       SaveCachedQuery(writer, record);
     }
     writer.WriteU64(shard->window.size());
@@ -720,20 +719,24 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     }
   }
 
-  // Commit and shadow-rebuild each shard's indexes (§5.2). Load requires
+  // Derive every record's probe data (it is not persisted), then commit
+  // and shadow-rebuild each shard's probe index (§5.2). Load requires
   // quiescence; the exclusive locks below only keep stragglers correct.
   Timer timer;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    auto entries = std::make_unique<std::vector<CachedQuery>>(
-        std::move(staged[s].entries));
-    IsubIndex fresh_isub(enumerator_options_);
-    fresh_isub.Build(*entries);
-    IsuperIndex fresh_isuper(enumerator_options_);
-    fresh_isuper.Build(*entries);
+    for (std::vector<CachedQuery>* records :
+         {&staged[s].entries, &staged[s].window}) {
+      for (CachedQuery& record : *records) {
+        record.probe =
+            MakeProbeData(record.graph, ExtractFeatures(record.graph));
+      }
+    }
+    ProbeIndex fresh_index(enumerator_options_);
+    fresh_index.Build(staged[s].entries);
     std::vector<uint64_t> entry_hashes, window_hashes;
-    entry_hashes.reserve(entries->size());
-    for (const CachedQuery& record : *entries) {
+    entry_hashes.reserve(staged[s].entries.size());
+    for (const CachedQuery& record : staged[s].entries) {
       entry_hashes.push_back(GraphShardHash(record.graph));
     }
     window_hashes.reserve(staged[s].window.size());
@@ -741,15 +744,14 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
       window_hashes.push_back(GraphShardHash(record.graph));
     }
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.entries = std::move(entries);
+    shard.entries = std::move(staged[s].entries);
     shard.window = std::move(staged[s].window);
     shard.entry_hashes = std::move(entry_hashes);
     shard.window_hashes = std::move(window_hashes);
-    shard.isub = std::move(fresh_isub);
-    shard.isuper = std::move(fresh_isuper);
+    shard.index = std::move(fresh_index);
   }
   // Rebuild the canonical map wholesale — it is derived data, like the
-  // probe indexes. Shard locks are taken one at a time in shard order, so
+  // probe index. Shard locks are taken one at a time in shard order, so
   // the rebuild obeys the shard.mutex -> canonical_mutex_ lock order.
   {
     std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);

@@ -1,13 +1,13 @@
 // ShardedQueryCache — the iGQ query cache (§4.2, §5) behind both engines:
-// Igraphs (cached query graphs + answers), Isub + Isuper, the §5.1
-// metadata, and the Itemp window, partitioned by structural graph hash into
-// N independently-locked shards so probes from many client streams proceed
-// in parallel. QueryEngine runs it with one shard; ConcurrentQueryEngine
-// with IgqOptions::cache_shards.
+// Igraphs (cached query graphs + answers), the Isub + Isuper probe index,
+// the §5.1 metadata, and the Itemp window, partitioned by structural graph
+// hash into N independently-locked shards so probes from many client
+// streams proceed in parallel. QueryEngine runs it with one shard;
+// ConcurrentQueryEngine with IgqOptions::cache_shards.
 //
 // Concurrency design (docs/CONCURRENCY.md has the full model):
 //
-//   * Every shard guards its entries/window/indexes with a reader–writer
+//   * Every shard guards its entries/window/index with a reader–writer
 //     lock. Probes take shared locks on all shards, so any number of
 //     streams probe simultaneously; they block only for the microseconds a
 //     flush needs to swap freshly built state in.
@@ -15,10 +15,13 @@
 //     plus a tiny per-shard credit mutex, so probing is never serialized by
 //     bookkeeping.
 //   * Maintenance (window flush: §5.1 eviction + §5.2 shadow rebuild) is a
-//     deferred single-writer path. The flushing thread stages survivors and
-//     builds the fresh Isub/Isuper outside any structure lock, then swaps
-//     the new state in under a brief exclusive lock. Readers never wait on
-//     eviction or index building — only on the O(1) swap.
+//     deferred single-writer path, run on the thread whose Insert filled the
+//     window. It copies the survivors and the window slice into a staged
+//     vector and files their stored features (each entry's ProbeData, built
+//     once at Insert or Load; nothing is derived at a flush) into a fresh
+//     probe index outside any structure lock, then swaps the new state in
+//     under a brief exclusive lock. Readers never wait on eviction or index
+//     building — only on the swap.
 //
 // Equivalence: any cache content yields exact answers (pruning only uses
 // verified containment facts), so ConcurrentQueryEngine answers match the
@@ -41,9 +44,8 @@
 
 #include "features/feature_set.h"
 #include "features/path_enumerator.h"
-#include "igq/isub_index.h"
-#include "igq/isuper_index.h"
 #include "igq/options.h"
+#include "igq/probe_index.h"
 #include "igq/query_record.h"
 
 namespace igq {
@@ -57,7 +59,7 @@ class BinaryWriter;
 /// deterministic and duplicate inserts always meet in the same shard.
 uint64_t GraphShardHash(const Graph& graph);
 
-/// Sharded Igraphs + Isub + Isuper with reader–writer locking and deferred
+/// Sharded Igraphs + probe index with reader–writer locking and deferred
 /// single-writer maintenance. All public members are thread-safe unless
 /// noted; Load and the destructor require external quiescence.
 class ShardedQueryCache {
@@ -174,11 +176,13 @@ class ShardedQueryCache {
   /// thread (skipped if another thread is already flushing that shard).
   /// Duplicates — structurally equal graphs already cached or queued in the
   /// shard, which concurrent streams can race past the probe — are dropped.
-  /// The two-argument form computes the canonical key itself; engines pass
-  /// the key they already computed for the fast-path lookup.
+  /// The new entry's probe data is built here, once, from `features`. The
+  /// two-argument form computes the canonical key and the features itself;
+  /// engines pass the key they computed for the fast-path lookup and the
+  /// features they extracted for the probe.
   void Insert(const Graph& query, std::vector<GraphId> answer);
   void Insert(const Graph& query, std::vector<GraphId> answer,
-              std::string canonical);
+              std::string canonical, const PathFeatureCounts& features);
 
   /// Forces window integration on every shard (normal operation never
   /// needs it). Blocks until any in-flight flush of each shard completes.
@@ -198,15 +202,16 @@ class ShardedQueryCache {
   /// joins every answer whose query is a subgraph of `graph` (Isuper
   /// probe); in the supergraph direction answer(q) = {G : G ⊆ q}, so `id`
   /// joins where `graph` ⊆ q (Isub probe). Window entries are not in the
-  /// probe indexes and are tested directly. Every answer is re-derived over
-  /// the grown universe, so the adaptive representation stays canonical.
+  /// probe index and are tested directly, with their stored plan or view.
+  /// Every answer is re-derived over the grown universe, so the adaptive
+  /// representation stays canonical.
   void ApplyGraphAdded(const Graph& graph, GraphId id,
                        QueryDirection direction);
 
   /// ApplyGraphRemoved: dataset graph `id` was tombstoned; it is dropped
   /// from every flushed and windowed answer that contains it. The probe
-  /// indexes are untouched (they index the cached QUERY graphs, which did
-  /// not change).
+  /// index is untouched (it indexes the cached QUERY graphs, which did not
+  /// change).
   void ApplyGraphRemoved(GraphId id);
 
   size_t num_shards() const { return shards_.size(); }
@@ -231,35 +236,33 @@ class ShardedQueryCache {
   /// (graph, canonical key, answer, §5.1 metadata) and window (Itemp), the
   /// query/id counters, the geometry, and `num_graphs` and `dataset_crc`
   /// (size and content fingerprint of the dataset the answers refer to, see
-  /// snapshot::DatasetFingerprint). Isub/Isuper are NOT serialized — they
-  /// are derived data, shadow-rebuilt on load per §5.2. Takes shared locks
-  /// + credit mutexes, so it is safe against concurrent probes and credits;
-  /// concurrent Insert/flush make the snapshot a valid but arbitrary cut —
-  /// quiesce first for a meaningful one.
+  /// snapshot::DatasetFingerprint). The probe index and the entries' probe
+  /// data are NOT serialized — they are derived data, rebuilt on load per
+  /// §5.2. Takes shared locks + credit mutexes, so it is safe against
+  /// concurrent probes and credits; concurrent Insert/flush make the
+  /// snapshot a valid but arbitrary cut — quiesce first for a meaningful
+  /// one.
   void Save(snapshot::BinaryWriter& writer, uint64_t num_graphs,
             uint32_t dataset_crc) const;
 
-  /// Restores state saved by Save() and shadow-rebuilds every shard's
-  /// Isub/Isuper; a cache restored this way replays a query stream with the
-  /// same hits, prunes, and replacement victims as the one that produced
-  /// the snapshot. `with_shard_count` false reads the older one-shard
-  /// layout (no shard count; docs/FORMATS.md, section 1), which only a
-  /// one-shard cache accepts. Returns false — leaving this cache unchanged
-  /// — on malformed input, a dataset size or content-fingerprint mismatch
-  /// (answer ids are also bounds-checked against `num_graphs`), or a
-  /// snapshot taken under different geometry (path_max_edges, capacity,
-  /// window, shard count, or policy). NOT thread-safe: no other call may
-  /// run concurrently.
+  /// Restores state saved by Save(), derives every entry's probe data from
+  /// its graph, and rebuilds every shard's probe index; a cache restored
+  /// this way replays a query stream with the same hits, prunes, and
+  /// replacement victims as the one that produced the snapshot.
+  /// `with_shard_count` false reads the older one-shard layout (no shard
+  /// count; docs/FORMATS.md, section 1), which only a one-shard cache
+  /// accepts. Returns false — leaving this cache unchanged — on malformed
+  /// input, a dataset size or content-fingerprint mismatch (answer ids are
+  /// also bounds-checked against `num_graphs`), or a snapshot taken under
+  /// different geometry (path_max_edges, capacity, window, shard count, or
+  /// policy). NOT thread-safe: no other call may run concurrently.
   bool Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
             uint32_t dataset_crc, bool with_shard_count = true);
 
  private:
-  /// One shard: a slice of Igraphs with its own locks and indexes. The
-  /// entries vector lives behind a unique_ptr so the indexes' internal
-  /// pointer to it survives the flush swap (the vector object the fresh
-  /// indexes were built over is moved in wholesale).
+  /// One shard: a slice of Igraphs with its own locks and probe index.
   struct Shard {
-    /// Structure lock: entries/window/indexes. Shared for probes, exclusive
+    /// Structure lock: entries/window/index. Shared for probes, exclusive
     /// for Insert appends and the flush swap.
     mutable std::shared_mutex mutex;
     /// Serializes §5.1 metadata credits, which happen under the *shared*
@@ -269,10 +272,10 @@ class ShardedQueryCache {
     /// structure lock on the same shard.
     std::mutex maintenance_mutex;
 
-    std::unique_ptr<std::vector<CachedQuery>> entries;
+    std::vector<CachedQuery> entries;
     std::vector<CachedQuery> window;  // Itemp slice
-    IsubIndex isub;
-    IsuperIndex isuper;
+    /// Isub + Isuper over `entries`, by position; rebuilt at every flush.
+    ProbeIndex index;
     /// GraphShardHash of each entries/window graph, kept aligned so
     /// Insert's duplicate scan under the exclusive lock compares 8-byte
     /// hashes (falling back to structural equality only on a hash match)

@@ -1,7 +1,6 @@
 #include "methods/feature_count_index.h"
 
 #include <algorithm>
-#include <map>
 
 #include "isomorphism/match_core.h"
 #include "serving/budget.h"
@@ -16,10 +15,12 @@ constexpr uint32_t kFeatureCountIndexVersion = 1;
 }  // namespace
 
 void FeatureCountIndex::AddGraph(GraphId id, const Graph& graph) {
-  // Ordered map so trie postings are appended deterministically.
-  std::map<PathKey, uint32_t> features;
-  EnumeratePaths(graph, options_,
-                 [&features](PathKey key, VertexId) { ++features[key]; });
+  AddGraph(id, SortPathFeatures(CountPathFeatures(graph, options_)));
+}
+
+void FeatureCountIndex::AddGraph(GraphId id,
+                                 const SortedPathFeatures& features) {
+  // Key order, so trie postings are appended deterministically.
   for (const auto& [key, count] : features) {
     trie_.Add(key, id, count);
   }
@@ -63,6 +64,39 @@ void FeatureCountIndex::FindPotentialSubgraphsOf(
   }
   for (size_t id = 0; id < nf_.size(); ++id) {
     if (tally[id] == nf_[id]) out->push_back(static_cast<GraphId>(id));
+  }
+}
+
+void FeatureCountIndex::FindPotentialSupergraphsOf(
+    const PathFeatureCounts& query_features, std::vector<GraphId>* out) const {
+  // A candidate must contain every query feature at least as often as the
+  // query does (the counting filter the host path methods use). Postings
+  // are appended in ascending graph id, so each feature's eligible list is
+  // sorted and the running set narrows through the galloping intersect
+  // kernel; the two swapped-in buffers are this thread's scratch.
+  out->clear();
+  IdSetScratch& scratch = IdSetScratch::ThreadLocal();
+  std::vector<GraphId>& eligible = scratch.ids_b();
+  std::vector<GraphId>& merged = scratch.ids_c();
+  bool first = true;
+  for (const auto& [key, query_count] : query_features) {
+    const std::vector<PathPosting>* postings = trie_.Find(key);
+    if (postings == nullptr) {
+      out->clear();
+      return;
+    }
+    eligible.clear();
+    for (const PathPosting& posting : *postings) {
+      if (posting.count >= query_count) eligible.push_back(posting.graph_id);
+    }
+    if (first) {
+      std::swap(*out, eligible);  // O(1) buffer exchange
+      first = false;
+    } else {
+      IntersectSorted(*out, eligible, &merged);
+      std::swap(*out, merged);
+    }
+    if (out->empty()) return;
   }
 }
 

@@ -5,7 +5,9 @@
 // potential *subgraphs of q*, with no false negatives.
 //
 // The same structure serves two roles in this repository:
-//   * iGQ's Isuper component (over cached query graphs), and
+//   * iGQ's probe index over cached query graphs, where its postings also
+//     answer Isub's converse counting filter (FindPotentialSupergraphsOf),
+//     and
 //   * the baseline supergraph-query method M_super (over dataset graphs).
 #ifndef IGQ_METHODS_FEATURE_COUNT_INDEX_H_
 #define IGQ_METHODS_FEATURE_COUNT_INDEX_H_
@@ -35,6 +37,11 @@ class FeatureCountIndex {
   /// Indexes `graph` under `id`. Ids must be added in increasing order.
   void AddGraph(GraphId id, const Graph& graph);
 
+  /// Same, from the graph's stored features (enumerated under this index's
+  /// options): re-indexing a graph whose features are kept enumerates
+  /// nothing.
+  void AddGraph(GraphId id, const SortedPathFeatures& features);
+
   /// Algorithm 2: ids of indexed graphs that may be subgraphs of `query`
   /// (every indexed feature of the graph occurs in the query with at least
   /// the graph's multiplicity). No false negatives. Candidates come back
@@ -49,9 +56,21 @@ class FeatureCountIndex {
   /// Out-parameter form: fills `out` (cleared first, capacity reused). The
   /// per-graph cover tally runs in the calling thread's IdSetScratch, so a
   /// steady-state probe performs zero heap allocations — this is the form
-  /// the Isuper probe index calls (`bench_micro_core --smoke` gates it).
+  /// the cache's probe index calls for Isuper (`bench_micro_core --smoke`
+  /// gates it).
   void FindPotentialSubgraphsOf(const PathFeatureCounts& query_features,
                                 std::vector<GraphId>* out) const;
+
+  /// Isub's counting filter, the converse of Algorithm 2: fills `out`
+  /// (cleared first) with the ids of indexed graphs that may be
+  /// supergraphs of the query — each holds every query feature at least as
+  /// often as the query does. No false negatives; a featureless query
+  /// yields none. Candidates come back sorted ascending. The running set
+  /// narrows through the calling thread's IdSetScratch ids_b/ids_c (so
+  /// `out` must be neither of them), performing zero heap allocations in
+  /// steady state.
+  void FindPotentialSupergraphsOf(const PathFeatureCounts& query_features,
+                                  std::vector<GraphId>* out) const;
 
   size_t NumGraphs() const { return num_indexed_; }
   size_t MemoryBytes() const;

@@ -3,10 +3,20 @@
 // exact-match detection, maintenance accounting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "features/canonical.h"
+#include "features/path_enumerator.h"
 #include "igq/engine.h"
+#include "igq/probe_index.h"
 #include "igq/sharded_cache.h"
+#include "isomorphism/vf2.h"
 #include "methods/registry.h"
+#include "snapshot/serializer.h"
+#include "tests/cache_payload.h"
 #include "tests/test_util.h"
 
 namespace igq {
@@ -301,6 +311,134 @@ TEST(QueryCacheTest, EngineExactHitRunsZeroIsomorphismTests) {
   EXPECT_EQ(entries[0].meta.hits, 2u);
   EXPECT_EQ(entries[0].meta.removed_candidates,
             2 * miss_stats.candidates_initial);
+}
+
+// ---- Probe data: derived once per entry, shared across flushes. ----
+
+// Every entry (flushed and windowed) must carry probe data equal to a fresh
+// derivation from its graph: the path features, enumerated anew and put in
+// key order, and a view and plan over the graph itself.
+void ExpectProbeDataMatchesEnumeration(const ShardedQueryCache& cache,
+                                       const IgqOptions& options,
+                                       const std::string& where) {
+  PathEnumeratorOptions enumerator;
+  enumerator.max_edges = options.path_max_edges;
+  enumerator.include_single_vertices = true;
+  const std::vector<CachedQuery> entries = cache.Entries();
+  ASSERT_GT(cache.size(), 0u) << where;
+  ASSERT_GT(entries.size(), cache.size()) << where << ": no window entries";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const CachedQuery& entry = entries[i];
+    ASSERT_NE(entry.probe, nullptr) << where << ", entry " << i;
+    const PathFeatureCounts counts = CountPathFeatures(entry.graph, enumerator);
+    const std::map<PathKey, uint32_t> ordered(counts.begin(), counts.end());
+    const SortedPathFeatures expected(ordered.begin(), ordered.end());
+    EXPECT_EQ(entry.probe->features, expected) << where << ", entry " << i;
+    EXPECT_EQ(entry.probe->view.NumVertices(), entry.graph.NumVertices());
+    EXPECT_EQ(entry.probe->view.NumEdges(), entry.graph.NumEdges());
+    EXPECT_EQ(entry.probe->plan.num_vertices(), entry.graph.NumVertices());
+    EXPECT_EQ(entry.probe->plan.num_edges(), entry.graph.NumEdges());
+  }
+}
+
+TEST(QueryCacheTest, ProbeDataMatchesEnumeration) {
+  // 14 inserts into 8 slots flush three times, the last one with
+  // evictions, so survivors have moved when the check runs.
+  const IgqOptions options = SmallOptions(8, 4);
+  std::vector<Graph> graphs;
+  Rng rng(31);
+  for (int i = 0; i < 14; ++i) {
+    graphs.push_back(RandomConnectedGraph(rng, 4 + rng.Below(6), 3, 3));
+  }
+
+  // Features passed in, as the engines do with the ones they probed with.
+  {
+    ShardedQueryCache cache(options);
+    for (const Graph& g : graphs) {
+      cache.Insert(g, {}, GraphCanonicalCode(g), cache.ExtractFeatures(g));
+    }
+    ExpectProbeDataMatchesEnumeration(cache, options, "features passed in");
+  }
+  // The two-argument Insert extracts them itself.
+  {
+    ShardedQueryCache cache(options);
+    for (const Graph& g : graphs) cache.Insert(g, {});
+    ExpectProbeDataMatchesEnumeration(cache, options, "two-argument Insert");
+  }
+  // Snapshot payloads carry no probe data; Load derives it from the graphs,
+  // for both record versions (1: no canonical key, 2: with it).
+  for (uint32_t version : {1u, 2u}) {
+    std::ostringstream payload;
+    snapshot::BinaryWriter writer(payload);
+    testing::WriteOneShardHeader(writer, version, options, /*num_graphs=*/10,
+                                 /*dataset_crc=*/0x5eed,
+                                 /*queries_processed=*/20,
+                                 /*next_id=*/10);
+    const std::vector<GraphId> answer{static_cast<GraphId>(version)};
+    writer.WriteU64(8);  // flushed entries
+    for (uint64_t i = 0; i < 10; ++i) {
+      if (i == 8) writer.WriteU64(2);  // window (Itemp) entries
+      testing::WriteRecord(writer, version, i, graphs[i], answer, {});
+    }
+    ASSERT_TRUE(writer.ok());
+    ShardedQueryCache cache(options, /*universe=*/10);
+    std::istringstream in(payload.str());
+    snapshot::BinaryReader reader(in);
+    ASSERT_TRUE(cache.Load(reader, 10, 0x5eed, /*with_shard_count=*/false));
+    ExpectProbeDataMatchesEnumeration(
+        cache, options, "Load of version " + std::to_string(version));
+  }
+}
+
+TEST(QueryCacheTest, ProbeHitsMatchBruteForceAcrossFlushes) {
+  // A one-shard cache under constant eviction. After every insert, a random
+  // probe's hits must be exactly the flushed positions whose graph contains
+  // the query (supergraph_hits) or is contained in it (subgraph_hits), in
+  // position order, each pair checked with VF2. A survivor whose probe data
+  // went stale across a flush would break this.
+  const Vf2Matcher vf2;
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    ShardedQueryCache cache(SmallOptions(24, 4));
+    Rng rng(seed);
+    // Most graphs are neighborhoods of one host, so containments abound;
+    // every fourth is unrelated.
+    const Graph host = RandomConnectedGraph(rng, 40, 25, 3);
+    auto random_graph = [&] {
+      if (rng.Below(4) == 0) {
+        return RandomConnectedGraph(rng, 3 + rng.Below(6), rng.Below(3), 3);
+      }
+      return RandomSubgraphOf(rng, host, 2 + rng.Below(9));
+    };
+    size_t super_hits = 0, sub_hits = 0;
+    for (int step = 0; step < 200; ++step) {
+      cache.Insert(random_graph(), {});
+      const Graph query = random_graph();
+      // One shard: Entries() lists the flushed entries first, by position.
+      const std::vector<CachedQuery> entries = cache.Entries();
+      ASSERT_LE(cache.size(), 24u);
+      std::vector<size_t> expected_super, expected_sub;
+      for (size_t i = 0; i < cache.size(); ++i) {
+        if (vf2.Contains(query, entries[i].graph)) expected_super.push_back(i);
+        if (vf2.Contains(entries[i].graph, query)) expected_sub.push_back(i);
+      }
+      const auto session = cache.Probe(query, cache.ExtractFeatures(query));
+      std::vector<size_t> got_super, got_sub;
+      for (const ShardedQueryCache::Hit& hit : session.supergraph_hits()) {
+        got_super.push_back(hit.position);
+      }
+      for (const ShardedQueryCache::Hit& hit : session.subgraph_hits()) {
+        got_sub.push_back(hit.position);
+      }
+      ASSERT_EQ(got_super, expected_super) << "seed " << seed << ", step "
+                                           << step;
+      ASSERT_EQ(got_sub, expected_sub) << "seed " << seed << ", step " << step;
+      super_hits += got_super.size();
+      sub_hits += got_sub.size();
+    }
+    // The oracle must have had something to say in both directions.
+    EXPECT_GT(super_hits, 100u) << "seed " << seed;
+    EXPECT_GT(sub_hits, 100u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "snapshot/mutation_state.h"
 #include "snapshot/serializer.h"
 #include "snapshot/snapshot.h"
+#include "tests/cache_payload.h"
 #include "tests/test_util.h"
 
 namespace igq {
@@ -875,40 +876,6 @@ TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
   }
 }
 
-// Writes one cached-query record in the given record version (1: no
-// canonical key; 2: with it), as docs/FORMATS.md lays it out.
-void WriteRecord(snapshot::BinaryWriter& writer, uint32_t version,
-                 uint64_t id, const Graph& graph,
-                 std::span<const GraphId> answer,
-                 const QueryGraphMetadata& meta) {
-  writer.WriteU64(id);
-  snapshot::WriteGraph(writer, graph);
-  if (version >= 2) writer.WriteString(GraphCanonicalCode(graph));
-  writer.WriteU64(answer.size());
-  for (GraphId member : answer) writer.WriteU32(member);
-  writer.WriteU64(meta.hits);
-  writer.WriteU64(meta.inserted_at);
-  writer.WriteU64(meta.removed_candidates);
-  writer.WriteDouble(meta.cost_saved.log());
-  writer.WriteU64(meta.last_hit_at);
-}
-
-// Writes the header of a section-1 (one-shard, no shard count) payload.
-void WriteOneShardHeader(snapshot::BinaryWriter& writer, uint32_t version,
-                         const IgqOptions& options, uint64_t num_graphs,
-                         uint32_t dataset_crc, uint64_t queries_processed,
-                         uint64_t next_id) {
-  writer.WriteU32(version);
-  writer.WriteU32(static_cast<uint32_t>(options.path_max_edges));
-  writer.WriteU64(options.cache_capacity);
-  writer.WriteU64(options.window_size);
-  writer.WriteU8(static_cast<uint8_t>(options.replacement_policy));
-  writer.WriteU64(num_graphs);
-  writer.WriteU32(dataset_crc);
-  writer.WriteU64(queries_processed);
-  writer.WriteU64(next_id);
-}
-
 TEST(CacheStateTest, Version1PayloadLoadsByRecomputingCanonicalKeys) {
   // A hand-built version-1 section-1 payload — the exact pre-key layout, no
   // canonical string in the records — must still load, with the keys
@@ -917,16 +884,16 @@ TEST(CacheStateTest, Version1PayloadLoadsByRecomputingCanonicalKeys) {
 
   std::ostringstream payload;
   snapshot::BinaryWriter writer(payload);
-  WriteOneShardHeader(writer, /*version=*/1, validated, /*num_graphs=*/10,
-                      /*dataset_crc=*/0x1234, /*queries_processed=*/5,
-                      /*next_id=*/2);
+  testing::WriteOneShardHeader(writer, /*version=*/1, validated,
+                               /*num_graphs=*/10, /*dataset_crc=*/0x1234,
+                               /*queries_processed=*/5, /*next_id=*/2);
   const Graph a = testing::PathGraph({1, 2, 3});
   const Graph b = testing::Triangle(4, 4, 4);
   writer.WriteU64(2);  // flushed entries
   const std::vector<GraphId> answer_a{1, 4};
   const std::vector<GraphId> answer_b{2};
-  WriteRecord(writer, 1, 0, a, answer_a, {});
-  WriteRecord(writer, 1, 1, b, answer_b, {});
+  testing::WriteRecord(writer, 1, 0, a, answer_a, {});
+  testing::WriteRecord(writer, 1, 1, b, answer_b, {});
   writer.WriteU64(0);  // empty window
   ASSERT_TRUE(writer.ok());
 
@@ -974,14 +941,15 @@ TEST(CacheStateTest, OneShardSectionSnapshotLoadsIntoQueryEngine) {
   std::ostringstream payload;
   {
     snapshot::BinaryWriter writer(payload);
-    WriteOneShardHeader(writer, /*version=*/2, options, db.graphs.size(),
-                        snapshot::DatasetFingerprint(db.graphs),
-                        /*queries_processed=*/9, /*next_id=*/3);
+    testing::WriteOneShardHeader(writer, /*version=*/2, options,
+                                 db.graphs.size(),
+                                 snapshot::DatasetFingerprint(db.graphs),
+                                 /*queries_processed=*/9, /*next_id=*/3);
     writer.WriteU64(2);  // flushed entries
-    WriteRecord(writer, 2, 0, graphs[0], answers[0], metas[0]);
-    WriteRecord(writer, 2, 1, graphs[1], answers[1], metas[1]);
+    testing::WriteRecord(writer, 2, 0, graphs[0], answers[0], metas[0]);
+    testing::WriteRecord(writer, 2, 1, graphs[1], answers[1], metas[1]);
     writer.WriteU64(1);  // one window (Itemp) entry
-    WriteRecord(writer, 2, 2, graphs[2], answers[2], metas[2]);
+    testing::WriteRecord(writer, 2, 2, graphs[2], answers[2], metas[2]);
     ASSERT_TRUE(writer.ok());
   }
   std::stringstream file;
