@@ -56,12 +56,14 @@ int main() {
     options.window_size = 20;
     options.verify_threads = 2;
     igq::QueryEngine engine(db, &method, options);
-    // The whole session log goes through one batch call: the engine reuses
-    // its verification pool across all queries instead of spawning threads
-    // per query.
+    // The whole session log goes through one batch call on one stream: the
+    // queries run in order on this thread, and the engine reuses its
+    // verification pool across all of them instead of spawning threads per
+    // query.
     size_t tests = 0, answers = 0;
     int64_t micros = 0;
-    for (const igq::BatchResult& result : engine.ProcessBatch(query_log)) {
+    for (const igq::BatchResult& result :
+         engine.ProcessConcurrent(query_log, /*streams=*/1)) {
       tests += result.stats.iso_tests;
       answers += result.stats.answer_size;
       micros += result.stats.total_micros;

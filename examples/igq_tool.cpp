@@ -39,10 +39,10 @@
 //            [--deadline-ms=N] [--max-states=N] [--admission=WATERMARK]
 //       Serve the workload as N concurrent client streams over ONE shared,
 //       sharded cache (ConcurrentQueryEngine) and report throughput and
-//       cache-assist rate; --verify replays the stream on the sequential
-//       engine and fails on any answer divergence, --save snapshots the
-//       cache afterwards (with --shards=1, `load` restores it into the
-//       sequential engine). The lifecycle flags (all off by
+//       cache-assist rate; --verify replays the stream on one stream of a
+//       QueryEngine and fails on any answer divergence, --save snapshots
+//       the cache afterwards (with --shards=1, `load` restores it into a
+//       QueryEngine). The lifecycle flags (all off by
 //       default — every query is then unlimited) give
 //       every query a wall-clock deadline / search-state cap and enable
 //       admission control at the given cost watermark; budgeted runs
@@ -464,8 +464,8 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   }
 
   if (flags.count("verify") != 0) {
-    // The concurrent engine is answer-equivalent to the sequential one:
-    // replay the same stream on a fresh QueryEngine and compare. Under
+    // Both configurations answer exactly: replay the same stream, one
+    // query at a time, on a fresh QueryEngine and compare. Under
     // budgets only completed queries carry the full answer, so the check
     // skips the typed non-completions.
     auto seq_method = MakeMethod(flags, nullptr);

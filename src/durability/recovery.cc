@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "igq/concurrent_engine.h"
 #include "igq/engine.h"
 #include "methods/method.h"
 #include "snapshot/mutation_state.h"
@@ -109,9 +108,11 @@ struct SnapshotCandidate {
   std::string contents;
 };
 
-template <typename Engine>
-RecoveryReport RecoverImpl(FileSystem& fs, const RecoverySpec& spec,
-                           GraphDatabase& db, Method& method, Engine& engine) {
+}  // namespace
+
+RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
+                             GraphDatabase& db, Method& method,
+                             QueryEngine& engine) {
   RecoveryReport report;
   engine.AttachWal(nullptr);  // never log the replay itself
 
@@ -265,20 +266,6 @@ RecoveryReport RecoverImpl(FileSystem& fs, const RecoverySpec& spec,
   }
   report.recovered_epoch = db.mutation_epoch;
   return report;
-}
-
-}  // namespace
-
-RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
-                             GraphDatabase& db, Method& method,
-                             QueryEngine& engine) {
-  return RecoverImpl(fs, spec, db, method, engine);
-}
-
-RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
-                             GraphDatabase& db, Method& method,
-                             ConcurrentQueryEngine& engine) {
-  return RecoverImpl(fs, spec, db, method, engine);
 }
 
 }  // namespace durability

@@ -24,7 +24,6 @@
 
 namespace igq {
 
-class ConcurrentQueryEngine;
 class Method;
 class QueryEngine;
 struct GraphDatabase;
@@ -103,13 +102,11 @@ bool SaveSnapshotAtomic(FileSystem& fs, const std::string& path,
 /// engine's method, and `engine` is freshly constructed (empty cache). Any
 /// attached WAL writer is detached first — the caller re-attaches one after
 /// recovery, opened at `recovered_epoch` with `next_wal_sequence`. Never
-/// fails: the worst outcome is RecoveryRung::kColdRebuild.
+/// fails: the worst outcome is RecoveryRung::kColdRebuild. Takes either
+/// engine class (ConcurrentQueryEngine is a QueryEngine).
 RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
                              GraphDatabase& db, Method& method,
                              QueryEngine& engine);
-RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
-                             GraphDatabase& db, Method& method,
-                             ConcurrentQueryEngine& engine);
 
 }  // namespace durability
 }  // namespace igq

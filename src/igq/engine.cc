@@ -1,6 +1,9 @@
 #include "igq/engine.h"
 
+#include <algorithm>
+#include <chrono>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/timer.h"
@@ -8,14 +11,22 @@
 #include "igq/engine_shell.h"
 #include "igq/pruning.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define IGQ_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define IGQ_TSAN_ACTIVE 1
+#endif
+#endif
+
 namespace igq {
 namespace {
 
-// The sequential engine runs the shared cache as one shard.
-IgqOptions OneShardOptions(const IgqOptions& options) {
-  IgqOptions one_shard = ValidatedIgqOptions(options);
-  one_shard.cache_shards = 1;
-  return one_shard;
+// The engine's options: validated, with one cache shard unless sharded.
+IgqOptions EngineOptions(const IgqOptions& options, bool sharded) {
+  IgqOptions validated = ValidatedIgqOptions(options);
+  if (!sharded) validated.cache_shards = 1;
+  return validated;
 }
 
 // One §5.1 prune credit, buffered until the query commits.
@@ -25,17 +36,79 @@ struct PendingCredit {
   LogValue cost;
 };
 
+// Deadline-bounded shared acquisition of the writer gate. libstdc++ lowers
+// try_lock_until with a steady_clock deadline to pthread_rwlock_clockrdlock,
+// which ThreadSanitizer (through at least GCC 12's libtsan) does not
+// intercept — a successful acquisition is then invisible to TSan and every
+// read behind the gate is reported as a false race against ApplyMutation's
+// exclusive hold. Under TSan only, poll the intercepted try-lock path
+// instead; production builds keep the blocking timed wait.
+bool LockSharedUntil(std::shared_lock<std::shared_timed_mutex>& gate,
+                     std::chrono::steady_clock::time_point deadline) {
+#ifdef IGQ_TSAN_ACTIVE
+  while (!gate.try_lock()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+#else
+  return gate.try_lock_until(deadline);
+#endif
+}
+
+// Takes the writer gate's shared side for a query. Without a deadline the
+// wait is plain — cancellation is then noticed right after acquisition
+// (mutations are short; the latency is bounded by one mutation). With one,
+// a query that cannot get past an in-flight mutation in time latches
+// kDeadline at kGateWait instead of blocking unboundedly. Returns false
+// when the query has stopped.
+bool AcquireGate(std::shared_lock<std::shared_timed_mutex>& gate,
+                 serving::QueryControl& control) {
+  control.set_stage(serving::QueryStage::kGateWait);
+  if (!control.has_deadline()) {
+    gate.lock();
+  } else if (!LockSharedUntil(gate, control.deadline())) {
+    control.CheckNow();  // latches kDeadline (or kCancelled) at kGateWait
+    return false;
+  }
+  return !control.CheckNow();
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const GraphDatabase& db, Method* method,
                          const IgqOptions& options)
+    : QueryEngine(db, method, options, /*sharded=*/false) {}
+
+QueryEngine::QueryEngine(const GraphDatabase& db, Method* method,
+                         const IgqOptions& options, bool sharded)
     : db_(&db),
       method_(method),
-      options_(OneShardOptions(options)),
+      options_(EngineOptions(options, sharded)),
+      filter_first_(!sharded),
       cache_(std::make_unique<ShardedQueryCache>(options_, db.graphs.size())),
-      pool_(options_.verify_threads) {}
+      pool_(options_.verify_threads),
+      admission_(options_.serving.admission_watermark,
+                 options_.serving.admission_max_waiters) {}
 
 QueryEngine::~QueryEngine() = default;
+
+std::vector<GraphId> QueryEngine::RunVerification(
+    const std::vector<GraphId>& candidates, const PreparedQuery& prepared,
+    serving::QueryControl* control) {
+  auto verify = [this, &prepared](GraphId id) {
+    return method_->Verify(prepared, id);
+  };
+  // Borrow the shared pool only when it has workers, is free, AND the
+  // candidate set is big enough for it to split (its own inline
+  // threshold); a busy pool means another stream is verifying — running
+  // inline then is the point of stream-level parallelism, never a stall.
+  if (pool_.threads() > 1 && candidates.size() >= 2 * pool_.threads()) {
+    std::unique_lock<std::mutex> borrow(pool_mutex_, std::try_to_lock);
+    if (borrow.owns_lock()) return pool_.Run(candidates, verify, control);
+  }
+  return VerifyInline(candidates, verify, control);
+}
 
 std::vector<GraphId> QueryEngine::Process(const Graph& query,
                                           QueryStats* stats) {
@@ -80,75 +153,249 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       stats != nullptr ? &stats->verify_micros : nullptr;
   ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
 
-  // Only a limited control reaches the searches. An unlimited query's
-  // searches never poll it, and its stage checkpoints below never fire.
+  // Only a limited control reaches the searches, admission, and the commit
+  // deferral. An unlimited query's searches never poll it, and its stage
+  // checkpoints below never fire.
   serving::QueryControl* const limit = control.limited() ? &control : nullptr;
-  // This thread runs the probe searches and the inline verification;
-  // VerifyPool installs the control on its own workers.
-  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), limit);
-  std::unique_ptr<PreparedQuery> prepared = method_->Prepare(query);
-  prepared->set_control(limit);
 
-  // A stopped query commits nothing (no tick, no credit, no insertion), so
-  // the cache stays bit-identical to one that never saw it. A stop during
-  // or after the prune stage may degrade to a cache-composed partial answer.
+  // A stopped query has committed nothing to the cache, so it leaves the
+  // cache bit-identical to one that never saw it. A stop during or after
+  // the prune stage may degrade to a cache-composed partial answer.
   auto stop = [&](bool partial_eligible, std::vector<GraphId> partial_answer) {
     const bool partial =
         partial_eligible && options_.serving.degrade_to_partial;
     result->outcome = serving::MakeStoppedOutcome(control, partial);
-    result->answer = partial ? std::move(partial_answer)
-                             : std::vector<GraphId>{};
+    result->answer =
+        partial ? std::move(partial_answer) : std::vector<GraphId>{};
     if (stats != nullptr) stats->answer_size = result->answer.size();
   };
 
-  // Stage 1 (Fig. 6): host-method filtering.
-  control.set_stage(serving::QueryStage::kFilter);
-  std::vector<GraphId> candidates;
-  {
-    ScopedTimer filter_timer(filter_sink);
-    candidates = method_->Filter(*prepared);
-  }
-  if (control.CheckNow()) return stop(false, {});
-  if (stats != nullptr) stats->candidates_initial = candidates.size();
-  // Memory cap: the post-filter candidate set is the query's dominant
-  // allocation driver, so the cap is enforced here, before pruning and
-  // verification fan out over it.
-  if (control.ChargeCandidates(candidates.size())) return stop(false, {});
+  // Stage: the mutation gate's shared side, held for the query's whole
+  // lifetime so the database, method index, and cache never shift
+  // underneath it. Queries never block each other here — only an
+  // in-flight ApplyMutation does.
+  std::shared_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_,
+                                                          std::defer_lock);
+  if (!AcquireGate(mutation_gate, control)) return stop(false, {});
+  // This thread runs the probe searches and its share of verification;
+  // VerifyPool installs the control on its borrowed workers itself.
+  ScopedSearchControl search_guard(MatchContext::ThreadLocal(), limit);
 
-  // Stage 2 (Fig. 6): the cache lookup. The canonical-key exact-hit fast
-  // path comes first: one hash probe of the key map, which covers flushed
-  // and window entries alike. Only on a key miss does the feature
-  // extraction + index probe run — an exact hit therefore performs zero
-  // isomorphism tests. The filter ran either way: an exact hit is credited
-  // with the filtered candidates it saved verifying (§5.1 R and C), not
-  // with its answer. With the cache disabled there is no probe, so every
-  // candidate goes on to verification.
+  // Stage 1 (Fig. 6): host-method filtering — before the exact-hit lookup
+  // in the filter-first configuration, else after a lookup miss. Returns
+  // false when the query stopped. `filtered_epoch` is the database state
+  // the candidates belong to. Like the probe it runs on this stream's
+  // thread: a serving thread that spawned helpers per query would
+  // oversubscribe the machine under load.
+  std::unique_ptr<PreparedQuery> prepared;
+  std::vector<GraphId> candidates;
+  uint64_t filtered_epoch = 0;
+  auto filter = [&] {
+    prepared = method_->Prepare(query);
+    prepared->set_control(limit);
+    control.set_stage(serving::QueryStage::kFilter);
+    {
+      ScopedTimer filter_timer(filter_sink);
+      candidates = method_->Filter(*prepared);
+    }
+    filtered_epoch = db_->mutation_epoch;
+    if (control.CheckNow()) return false;
+    if (stats != nullptr) stats->candidates_initial = candidates.size();
+    // Memory cap: the post-filter candidate set is the query's dominant
+    // allocation driver, so the cap is enforced here, before pruning and
+    // verification fan out over it.
+    return !control.ChargeCandidates(candidates.size());
+  };
+  if (filter_first_ && !filter()) return stop(false, {});
+
+  // Stage: the exact-hit fast path (§4.3 case 1). An isomorphic cached
+  // query — flushed or still in a window — is found by one canonicalization
+  // plus one hash lookup, so a hit runs no isomorphism test, and
+  // TryExactHit commits it (clock tick, then credit) at once. The hit is
+  // credited (§5.1 R and C) with the verification it saved: the filtered
+  // candidates when the filter has run, else the cached answer.
   const size_t query_nodes = query.NumVertices();
   const QueryDirection direction = method_->Direction();
-  std::optional<ShardedQueryCache::ProbeSession> session;
   std::string canonical;
+  auto exact_hit = [&] {
+    auto credit_of = [&](std::span<const GraphId> answer) {
+      const std::span<const GraphId> saved =
+          prepared != nullptr ? std::span<const GraphId>(candidates) : answer;
+      return ShardedQueryCache::Credit{
+          saved.size(),
+          SumIsomorphismCosts(*db_, direction, query_nodes, saved)};
+    };
+    if (!cache_->TryExactHit(canonical, credit_of, &result->answer)) {
+      return false;
+    }
+    if (stats != nullptr) {
+      stats->shortcut = ShortcutKind::kExactHit;
+      stats->answer_size = result->answer.size();
+    }
+    return true;
+  };
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kFastPath);
+    ScopedTimer probe_timer(probe_sink);
+    canonical = GraphCanonicalCode(query);
+    if (exact_hit()) return;
+  }
+
+  // Stage: admission, for limited fast-path misses only — exact hits are
+  // always admitted, so cache hits stay cheap under overload (the shed
+  // watermark protects the expensive miss pipeline, not the O(1) lookup).
+  // The gate is DROPPED while queued: a query parked in the admission
+  // queue must not block mutations for up to its whole deadline.
+  serving::AdmissionTicket ticket;
+  if (limit != nullptr && admission_.enabled()) {
+    mutation_gate.unlock();
+    control.set_stage(serving::QueryStage::kAdmission);
+    // Cost: query size in vertices + edges, a cheap proxy for the expected
+    // filter/verify work.
+    const uint64_t cost =
+        static_cast<uint64_t>(query.NumVertices()) + query.NumEdges();
+    switch (admission_.Admit(cost, control)) {
+      case serving::AdmissionController::Result::kShed:
+        result->outcome.kind = serving::QueryOutcomeKind::kShed;
+        result->outcome.stage = serving::QueryStage::kAdmission;
+        return;
+      case serving::AdmissionController::Result::kDeadline:
+        control.CheckNow();
+        return stop(false, {});
+      case serving::AdmissionController::Result::kAdmitted:
+        break;
+    }
+    ticket = serving::AdmissionTicket(&admission_, cost);
+    if (!AcquireGate(mutation_gate, control)) return stop(false, {});
+    // A mutation applied while the gate was down leaves candidates
+    // filtered before the queue stale: filter again below.
+    if (filtered_epoch != db_->mutation_epoch) prepared.reset();
+  }
+
+  // Stage: singleflight. Concurrent streams missing on the same canonical
+  // key coalesce onto one in-flight record: the first to register (the
+  // leader) runs the pipeline, the rest park on the record — each only
+  // until its own deadline — and share the published answer. A parked
+  // stream whose leader unwound without publishing re-checks its own
+  // budget, then runs the pipeline itself, unregistered — correctness over
+  // coalescing. A lone stream always leads.
+  std::shared_ptr<InFlightQuery> inflight;
+  bool leader = false;
+  if (options_.enabled) {
+    control.set_stage(serving::QueryStage::kSingleflightWait);
+    {
+      std::lock_guard<std::mutex> lock(inflight_mutex_);
+      auto [it, inserted] = inflight_.try_emplace(canonical);
+      if (inserted) it->second = std::make_shared<InFlightQuery>();
+      leader = inserted;
+      inflight = it->second;
+    }
+    if (!leader) {
+      std::unique_lock<std::mutex> wait_lock(inflight->mutex);
+      auto published = [&] { return inflight->done; };
+      if (limit == nullptr) {
+        inflight->cv.wait(wait_lock, published);
+      } else if (control.has_deadline()) {
+        inflight->cv.wait_until(wait_lock, control.deadline(), published);
+      } else {
+        // No deadline: wake periodically to notice external cancellation.
+        while (!inflight->cv.wait_for(wait_lock, std::chrono::milliseconds(50),
+                                      published) &&
+               !control.CheckNow()) {
+        }
+      }
+      if (inflight->done && !inflight->failed) {
+        result->answer = inflight->answer;
+        wait_lock.unlock();
+        // A coalesced query completes here: tick its clock.
+        cache_->RecordQueryProcessed();
+        coalesced_hits_.fetch_add(1, std::memory_order_relaxed);
+        if (stats != nullptr) {
+          stats->shortcut = ShortcutKind::kCoalescedHit;
+          stats->answer_size = result->answer.size();
+        }
+        return;
+      }
+      wait_lock.unlock();
+      if (control.CheckNow()) return stop(false, {});
+    }
+  }
+
+  // Leader-side publish guard: on every exit — completed, stopped, or
+  // unwinding — wake the parked followers (with the answer, or failed),
+  // then unregister the key. Unregistration comes last and AFTER Insert has
+  // registered the key in the cache's canonical map, so a stream arriving
+  // in any interleaving either coalesces, or hits the key — at its fast
+  // path, or at the re-check below when it registers only after this
+  // leader unregistered; it never re-runs a completed pipeline. Partial
+  // answers are leader-private (a follower coalescing one would mistake a
+  // subset for the full answer), so a stopped leader publishes nothing.
+  struct PublishGuard {
+    QueryEngine* engine;
+    const std::string* key;  // null: not a leader, guard is a no-op
+    InFlightQuery* record;
+    bool published = false;
+    std::vector<GraphId> answer{};
+
+    void Publish(const std::vector<GraphId>& result) {
+      if (key == nullptr) return;
+      answer = result;
+      published = true;
+    }
+    ~PublishGuard() {
+      if (key == nullptr) return;
+      {
+        std::lock_guard<std::mutex> lock(record->mutex);
+        record->failed = !published;
+        if (published) record->answer = std::move(answer);
+        record->done = true;
+      }
+      record->cv.notify_all();
+      std::lock_guard<std::mutex> lock(engine->inflight_mutex_);
+      engine->inflight_.erase(*key);
+    }
+  };
+  PublishGuard publish{this, leader ? &canonical : nullptr, inflight.get()};
+
+  // A leader of this key may have inserted and unregistered between this
+  // stream's fast-path miss and its registration: look the key up once
+  // more before running the pipeline a second time.
+  if (leader && exact_hit()) {
+    publish.Publish(result->answer);
+    return;
+  }
+
+  pipeline_executions_.fetch_add(1, std::memory_order_relaxed);
+  if (prepared == nullptr && !filter()) return stop(false, {});
+
+  // Stage 2 (Fig. 6): probe + prune. The probe session holds shared locks
+  // on every shard; entries are read in place and credited through it, so
+  // it must outlive the credits. The credits are buffered during prune,
+  // and the commit sequence — clock tick, then the credits in consultation
+  // order — runs while the session lives:
+  //   * unlimited: right after prune, then the session is dropped, so no
+  //     shard lock is held through verification, the long stage;
+  //   * limited: after verification, so a stop anywhere leaves no trace.
+  //     The extended hold is bounded by the query's budget and blocks only
+  //     shard-exclusive work (inserts, flush swaps), never other probes.
+  // With the cache disabled there is no session: every candidate goes on
+  // to verification and nothing commits.
+  std::optional<ShardedQueryCache::ProbeSession> session;
+  std::vector<PendingCredit> pending_credits;
+  auto commit_credits = [&] {
+    cache_->RecordQueryProcessed();
+    for (const PendingCredit& credit : pending_credits) {
+      session->CreditHit(credit.hit);
+      session->CreditPrune(credit.hit, credit.removed, credit.cost);
+    }
+  };
+  std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
+  std::vector<const CachedQuery*> guarantee, intersect;
   PathFeatureCounts features;  // extracted for the probe, reused by Insert
   if (options_.enabled) {
     control.set_stage(serving::QueryStage::kProbe);
     {
       ScopedTimer probe_timer(probe_sink);
-      canonical = GraphCanonicalCode(query);
-      auto credit_of = [&](std::span<const GraphId>) {
-        return ShardedQueryCache::Credit{
-            candidates.size(),
-            SumIsomorphismCosts(*db_, direction, query_nodes, candidates)};
-      };
-      // §4.3 case 1: identical (isomorphic) previous query — return its
-      // answer outright; TryExactHit commits the hit (clock tick, credit).
-      if (cache_->TryExactHit(canonical, credit_of, &result->answer)) {
-        if (stats != nullptr) {
-          stats->shortcut = ShortcutKind::kExactHit;
-          stats->answer_size = result->answer.size();
-        }
-        return;
-      }
-      // The key map holds every entry the probe scans, so the probe's own
-      // §4.3 exact match cannot fire here: only containments remain.
       features = cache_->ExtractFeatures(query);
       session.emplace(cache_->Probe(query, features));
     }
@@ -160,34 +407,38 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       stats->isub_hits = session->supergraph_hits().size();
       stats->isuper_hits = session->subgraph_hits().size();
     }
-  }
 
-  // The §4.4 role inversion. For subgraph queries, cached *supergraphs* of g
-  // yield guaranteed answers (formulas (3)/(4)) and cached *subgraphs*
-  // intersect the candidate set (formula (5)). For supergraph queries the
-  // roles swap: cached subgraphs G ⊆ g guarantee (Gi ⊆ G ⊆ g), cached
-  // supergraphs g ⊆ G intersect (Gi ⊆ g implies Gi ⊆ G).
-  const bool subgraph_query = direction == QueryDirection::kSubgraph;
-  std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
-  if (session.has_value()) {
+    // §4.3 case 1: identical previous query — return its answer outright.
+    // Normally unreachable since the canonical fast path already checked,
+    // but a stale canonical ref (a flush raced the lookup) can miss there
+    // and land here. The query completes: tick, then the one crediting
+    // site, as on the fast path.
+    if (session->has_exact()) {
+      cache_->RecordQueryProcessed();
+      session->CreditExactHit(
+          session->exact(), candidates.size(),
+          SumIsomorphismCosts(*db_, direction, query_nodes, candidates));
+      result->answer = session->entry(session->exact()).answer.ToVector();
+      if (stats != nullptr) {
+        stats->shortcut = ShortcutKind::kExactHit;
+        stats->candidates_final = 0;
+        stats->answer_size = result->answer.size();
+      }
+      publish.Publish(result->answer);
+      return;
+    }
+
+    // The §4.4 role inversion. For subgraph queries, cached *supergraphs*
+    // of g yield guaranteed answers (formulas (3)/(4)) and cached
+    // *subgraphs* intersect the candidate set (formula (5)). For supergraph
+    // queries the roles swap: cached subgraphs G ⊆ g guarantee
+    // (Gi ⊆ G ⊆ g), cached supergraphs g ⊆ G intersect (Gi ⊆ g implies
+    // Gi ⊆ G).
+    const bool subgraph_query = direction == QueryDirection::kSubgraph;
     guarantee_hits =
         subgraph_query ? session->supergraph_hits() : session->subgraph_hits();
     intersect_hits =
         subgraph_query ? session->subgraph_hits() : session->supergraph_hits();
-  }
-
-  // §5.1 credits are buffered during prune and applied at commit, while the
-  // probe session still pins the entries. Nothing reads the cache between
-  // the two on a single stream, so this costs the unlimited query nothing
-  // and lets a stopped one leave no trace. Costs are computed inside the
-  // callback (the removed span is only scratch-valid there).
-  std::vector<PendingCredit> pending_credits;
-  // The prune scratch (and the outcome inside it) is this thread's; it
-  // stays valid through verification and answer assembly below.
-  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
-  {
-    ScopedTimer prune_timer(probe_sink);
-    std::vector<const CachedQuery*> guarantee, intersect;
     guarantee.reserve(guarantee_hits.size());
     for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
       guarantee.push_back(&session->entry(hit));
@@ -196,9 +447,17 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
     for (const ShardedQueryCache::Hit& hit : intersect_hits) {
       intersect.push_back(&session->entry(hit));
     }
+  }
+  // This thread's prune scratch; the outcome inside stays valid through
+  // verification and answer assembly (each stream thread has its own).
+  PruneScratch& prune_scratch = PruneScratch::ThreadLocal();
+  {
+    ScopedTimer prune_timer(probe_sink);
     PruneCandidates(
         candidates, guarantee, intersect,
         [&](PruneSide side, size_t index, std::span<const GraphId> removed) {
+          // Costs are computed here: the removed span is only scratch-valid
+          // inside the callback.
           pending_credits.push_back(
               {side == PruneSide::kGuarantee ? guarantee_hits[index]
                                              : intersect_hits[index],
@@ -221,38 +480,67 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
     AssembleAnswer(pruned, {}, prune_scratch, &partial);
     return stop(true, std::move(partial));
   }
+  if (session.has_value() && limit == nullptr) {
+    commit_credits();
+    session.reset();  // shard locks released before verification
+  }
 
-  // Stages 3-5 (Fig. 6): verification on the pool (inline with one
-  // thread), then formula (4): Answer(g) = verified ∪ guaranteed answers.
+  // Stages 3-5 (Fig. 6): verification, then formula (4): Answer(g) =
+  // verified ∪ (pruned guaranteed answers).
   control.set_stage(serving::QueryStage::kVerify);
   std::vector<GraphId> verified;
   {
     ScopedTimer verify_timer(verify_sink);
-    verified = pool_.Run(
-        pruned.remaining,
-        [&](GraphId id) { return method_->Verify(*prepared, id); }, limit);
+    verified = RunVerification(pruned.remaining, *prepared, limit);
   }
   if (stats != nullptr) stats->iso_tests = pruned.remaining.size();
   AssembleAnswer(pruned, verified, prune_scratch, &result->answer);
   if (stats != nullptr) stats->answer_size = result->answer.size();
-  // Verified ids are the trusted subset (VerifyPool::Run contract), so
+  // Verified ids are the trusted subset (RunVerification contract), so
   // guaranteed ∪ verified is still a true partial answer. Never cached.
   if (control.stopped()) return stop(true, std::move(result->answer));
 
-  // Stages 6-8 (Fig. 6): commit — the query clock tick, the buffered
-  // credits in consultation order, then the insertion. An insertion that
-  // fills the window runs the flush (eviction + shadow rebuild) here, on
-  // this query's thread and inside its time; the cache also times it.
-  if (options_.enabled) {
-    cache_->RecordQueryProcessed();
-    for (const PendingCredit& credit : pending_credits) {
-      session->CreditHit(credit.hit);
-      session->CreditPrune(credit.hit, credit.removed, credit.cost);
-    }
-    // Insert takes the shard lock exclusively; the session holds it shared.
+  // Stages 6-8 (Fig. 6): commit.
+  if (!options_.enabled) return;
+  if (session.has_value()) {
+    commit_credits();
+    // Insert takes exclusive shard locks, which would self-deadlock
+    // against the session's shared locks.
     session.reset();
-    cache_->Insert(query, result->answer, std::move(canonical), features);
   }
+  // Insert (which registers the canonical key in the cache) strictly before
+  // the publish guard unregisters the in-flight record — see PublishGuard.
+  // An insertion that fills its shard's window runs the flush here, on this
+  // stream's thread and inside its query's time.
+  cache_->Insert(query, result->answer, canonical, features);
+  publish.Publish(result->answer);
+}
+
+std::vector<BatchResult> QueryEngine::ProcessConcurrent(
+    std::span<const Graph> queries, size_t streams,
+    const BatchOptions& batch) {
+  std::vector<BatchResult> results(queries.size());
+  if (queries.empty()) return results;
+  streams = std::clamp<size_t>(streams, 1, queries.size());
+  const serving::QueryRequest request{batch.budget, batch.cancel};
+
+  // Dynamic claiming: streams pull the next unprocessed query, so a stream
+  // stuck on an expensive query does not strand its share of the batch.
+  std::atomic<size_t> cursor{0};
+  auto stream_loop = [&] {
+    for (;;) {
+      const size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (index >= queries.size()) break;
+      results[index] =
+          ProcessWithBudget(queries[index], request, batch.collect_stats);
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(streams - 1);
+  for (size_t t = 1; t < streams; ++t) workers.emplace_back(stream_loop);
+  stream_loop();  // the caller is stream 0
+  for (std::thread& worker : workers) worker.join();
+  return results;
 }
 
 bool QueryEngine::SaveSnapshot(std::ostream& out, std::string* error) const {
@@ -273,18 +561,13 @@ bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
 MutationResult QueryEngine::ApplyMutation(GraphDatabase& db,
                                           const GraphMutation& mutation) {
   if (&db != db_) return {};  // not the database this engine serves
+  // Writer side of the mutation gate: waits for in-flight queries to drain
+  // and blocks new ones for the duration of the mutation, which is what
+  // makes the db.graphs reallocation (and the method's index surgery)
+  // safe. The WAL append sits inside the exclusive section too: the gate is
+  // what serializes WAL writes, so record order on disk IS apply order.
+  std::unique_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_);
   return ApplyEngineMutation(db, *method_, *cache_, wal_, mutation);
-}
-
-std::vector<BatchResult> QueryEngine::ProcessBatch(
-    std::span<const Graph> queries, const BatchOptions& batch) {
-  const serving::QueryRequest request{batch.budget, batch.cancel};
-  std::vector<BatchResult> results;
-  results.reserve(queries.size());
-  for (const Graph& query : queries) {
-    results.push_back(ProcessWithBudget(query, request, batch.collect_stats));
-  }
-  return results;
 }
 
 }  // namespace igq

@@ -1,8 +1,7 @@
-// The engine-independent shell around the query cache: warm-start snapshot
-// save/load (docs/FORMATS.md) and dataset-mutation apply. QueryEngine and
-// ConcurrentQueryEngine run the same cache type and snapshot section, so
-// both engines' SaveSnapshot, LoadSnapshot and ApplyMutation are thin calls
-// into these functions.
+// The shell around the query cache: warm-start snapshot save/load
+// (docs/FORMATS.md) and dataset-mutation apply. QueryEngine's SaveSnapshot,
+// LoadSnapshot and ApplyMutation are thin calls into these functions, which
+// keep the file formats and the mutation sequence out of the query pipeline.
 #ifndef IGQ_IGQ_ENGINE_SHELL_H_
 #define IGQ_IGQ_ENGINE_SHELL_H_
 

@@ -38,11 +38,11 @@ struct IgqOptions {
   /// Worker threads for the verification stage (Grapes(6) configs use 6).
   size_t verify_threads = 1;
 
-  /// Shard count of the query cache under ConcurrentQueryEngine (the
-  /// sequential QueryEngine always runs one shard). Cached queries
-  /// partition by structural graph hash into this many independently-locked
-  /// shards; capacity and window divide evenly across them (each shard
-  /// gets the ceiling share, at least 1). More shards mean
+  /// Shard count of the query cache under ConcurrentQueryEngine
+  /// (QueryEngine always runs one shard). Cached queries partition by
+  /// structural graph hash into this many independently-locked shards;
+  /// capacity and window divide evenly across them (each shard gets the
+  /// ceiling share, at least 1). More shards mean
   /// less writer contention and smaller per-flush rebuilds; probes always
   /// consult every shard, so past ~2× the stream count the returns flatten.
   /// Clamped to [1, cache_capacity] — see docs/CONCURRENCY.md.
@@ -65,10 +65,9 @@ struct IgqOptions {
     /// it — the amortized checkpoint cannot enforce a finer grain.
     uint64_t default_max_states = 0;
 
-    /// Admission watermark for ConcurrentQueryEngine: total in-flight query
-    /// cost (vertices + edges of each admitted query) beyond which new
-    /// non-fast-path queries queue and, past the queue bound, are shed.
-    /// 0 = admission control off.
+    /// Admission watermark: total in-flight query cost (vertices + edges
+    /// of each admitted query) beyond which new non-fast-path queries queue
+    /// and, past the queue bound, are shed. 0 = admission control off.
     uint64_t admission_watermark = 0;
 
     /// Bound on the admission queue; queries arriving beyond it are shed

@@ -1,10 +1,7 @@
-// The candidate-pruning core shared by QueryEngine and
-// ConcurrentQueryEngine (§4.2–§4.4): given the probe's guarantee-side and
-// intersect-side cached entries, splits the host method's candidate set
-// into guaranteed answers and the subset still needing verification. One
-// implementation serves both engines so the sequential and the concurrent
-// query paths cannot drift apart — the answer-equivalence guarantee of
-// docs/CONCURRENCY.md rests on it.
+// The candidate-pruning core of the engine's pipeline (§4.2–§4.4): given
+// the probe's guarantee-side and intersect-side cached entries, splits the
+// host method's candidate set into guaranteed answers and the subset still
+// needing verification.
 //
 // Since the IdSet rewrite the whole split is set algebra over sorted-unique
 // id spans and the cached entries' adaptive answer sets: the guarantee side
@@ -102,9 +99,8 @@ const PruneOutcome& PruneCandidates(
 
 /// Formula (4) answer assembly: answer = verified ∪ outcome.guaranteed,
 /// both sorted (verified inherits `remaining`'s order) and disjoint by
-/// construction. Shared by both engines for the same reason PruneCandidates
-/// is — the sequential and concurrent answer paths must not drift.
-/// `scratch` must be the one the outcome lives in; `answer` is cleared.
+/// construction. `scratch` must be the one the outcome lives in; `answer`
+/// is cleared.
 void AssembleAnswer(const PruneOutcome& outcome,
                     std::span<const GraphId> verified, PruneScratch& scratch,
                     std::vector<GraphId>* answer);

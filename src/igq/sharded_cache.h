@@ -25,7 +25,7 @@
 //
 // Equivalence: any cache content yields exact answers (pruning only uses
 // verified containment facts), so ConcurrentQueryEngine answers match the
-// sequential QueryEngine query for query. Eviction victims are chosen by
+// one-shard QueryEngine's query for query. Eviction victims are chosen by
 // the §5.1 score over a metadata snapshot taken when the flush begins.
 #ifndef IGQ_IGQ_SHARDED_CACHE_H_
 #define IGQ_IGQ_SHARDED_CACHE_H_

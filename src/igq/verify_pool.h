@@ -1,5 +1,5 @@
 // A persistent worker pool for the verification stage. The engine keeps one
-// pool for its whole lifetime, so batches of queries (ProcessBatch) and
+// pool for its whole lifetime, so batches of queries (ProcessConcurrent) and
 // repeated Process() calls share the same threads instead of spawning and
 // joining a fresh team per query — thread startup is measurable next to the
 // microsecond-scale verification of small candidates.
@@ -28,11 +28,10 @@ class QueryControl;
 /// Thread-safety: Run() executes ONE task at a time — it is not reentrant
 /// and two threads must never be inside Run() simultaneously. Different
 /// threads may call Run() at different times, provided the calls are
-/// externally serialized: the sequential QueryEngine serializes trivially
-/// (one query at a time), ConcurrentQueryEngine arbitrates with a
-/// try-locked borrow — a stream that finds the pool busy verifies inline
-/// instead of queuing behind it (docs/CONCURRENCY.md). The destructor must
-/// not race a Run() in progress.
+/// externally serialized: QueryEngine arbitrates with a try-locked borrow —
+/// a stream that finds the pool busy verifies inline instead of queuing
+/// behind it (docs/CONCURRENCY.md). The destructor must not race a Run() in
+/// progress.
 class VerifyPool {
  public:
   /// `threads` is the total worker count including the caller (>= 1).
@@ -91,7 +90,7 @@ class VerifyPool {
 /// Verification on the calling thread alone, with VerifyPool::Run's
 /// contract: candidate order is preserved and, under a stopped `control`,
 /// the result is the trusted subset. VerifyPool::Run uses it for small
-/// inputs; ConcurrentQueryEngine uses it when the shared pool is busy.
+/// inputs; QueryEngine uses it when the shared pool is busy.
 std::vector<GraphId> VerifyInline(const std::vector<GraphId>& candidates,
                                   FunctionRef<bool(GraphId)> verify,
                                   serving::QueryControl* control);

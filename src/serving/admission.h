@@ -1,4 +1,4 @@
-// Admission control for ConcurrentQueryEngine: a bounded admission queue
+// Admission control for the query engine: a bounded admission queue
 // with load shedding. Each admitted query holds "cost" units (its size in
 // vertices + edges — a proxy for expected verify work) until it finishes;
 // new queries whose cost would push the in-flight total past the watermark

@@ -1,15 +1,18 @@
 // Tests for the query cache run as one shard, the way QueryEngine runs it:
 // window mechanics, utility-based replacement (§5.1), probe semantics,
-// exact-match detection, maintenance accounting.
+// exact-match detection and its §5.1 credit (in both engine
+// configurations), maintenance accounting.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "features/canonical.h"
 #include "features/path_enumerator.h"
+#include "igq/concurrent_engine.h"
 #include "igq/engine.h"
 #include "igq/probe_index.h"
 #include "igq/sharded_cache.h"
@@ -274,43 +277,80 @@ TEST(QueryCacheTest, CreditExactHitCountsOnce) {
   EXPECT_NEAR(meta.cost_saved.ToLinear(), 100.0, 1e-6);
 }
 
-TEST(QueryCacheTest, EngineExactHitRunsZeroIsomorphismTests) {
-  Rng rng(33);
+// The exact-hit credit scenario: twelve random graphs, a ggsx index, and a
+// 3-vertex query with an isomorphic (vertex-permuted) repeat. With these
+// seeds the query's filtered candidates outnumber its answer, so the two
+// credit rules below give different R.
+struct ExactHitScenario {
   GraphDatabase db;
-  for (int i = 0; i < 12; ++i) {
-    db.graphs.push_back(RandomConnectedGraph(rng, 12, 6, 3));
-  }
-  db.RefreshLabelCount();
-  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  method->Build(db);
+  std::unique_ptr<Method> method;
+  Graph query;
+  Graph permuted;
   IgqOptions options;
-  options.cache_capacity = 16;
-  options.window_size = 4;  // the repeat hits the entry while in Itemp
-  QueryEngine engine(db, method.get(), options);
 
-  const Graph query = RandomSubgraphOf(rng, db.graphs[0], 6);
+  ExactHitScenario() {
+    Rng rng(33);
+    for (int i = 0; i < 12; ++i) {
+      db.graphs.push_back(RandomConnectedGraph(rng, 12, 6, 3));
+    }
+    db.RefreshLabelCount();
+    method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+    method->Build(db);
+    query = RandomSubgraphOf(rng, db.graphs[0], 3);
+    permuted = PermuteVertices(rng, query);
+    options.cache_capacity = 16;
+    options.window_size = 4;  // the repeats hit the entry while in Itemp
+  }
+};
+
+TEST(QueryCacheTest, EngineExactHitRunsZeroIsomorphismTests) {
+  ExactHitScenario s;
+  QueryEngine engine(s.db, s.method.get(), s.options);
+
   QueryStats miss_stats, hit_stats;
-  const std::vector<GraphId> answer = engine.Process(query, &miss_stats);
+  const std::vector<GraphId> answer = engine.Process(s.query, &miss_stats);
   EXPECT_EQ(miss_stats.shortcut, ShortcutKind::kNone);
+  EXPECT_NE(miss_stats.candidates_initial, answer.size());
 
   // An isomorphic (vertex-permuted) repeat takes the canonical-key fast
   // path: same answer, and zero isomorphism tests of either kind — neither
   // verification (iso_tests) nor probe-side VF2 (probe_iso_tests).
-  const Graph permuted = PermuteVertices(rng, query);
-  EXPECT_EQ(engine.Process(permuted, &hit_stats), answer);
+  EXPECT_EQ(engine.Process(s.permuted, &hit_stats), answer);
   EXPECT_EQ(hit_stats.shortcut, ShortcutKind::kExactHit);
   EXPECT_EQ(hit_stats.iso_tests, 0u);
   EXPECT_EQ(hit_stats.probe_iso_tests, 0u);
 
   // Single counting, end to end: two exact hits leave H at exactly 2, and
   // each is credited with the filtered candidates it saved, not its answer.
-  EXPECT_EQ(engine.Process(query), answer);
+  EXPECT_EQ(engine.Process(s.query), answer);
   const std::vector<CachedQuery> entries = engine.cache().Entries();
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].canonical, GraphCanonicalCode(query));
+  EXPECT_EQ(entries[0].canonical, GraphCanonicalCode(s.query));
   EXPECT_EQ(entries[0].meta.hits, 2u);
   EXPECT_EQ(entries[0].meta.removed_candidates,
             2 * miss_stats.candidates_initial);
+}
+
+TEST(QueryCacheTest, ConcurrentExactHitCreditsTheAnswer) {
+  // The sharded configuration looks the key up before the host filter
+  // runs, so each exact hit is credited with the cached answer instead.
+  ExactHitScenario s;
+  IgqOptions options = s.options;
+  options.cache_shards = 2;
+  ConcurrentQueryEngine engine(s.db, s.method.get(), options);
+
+  QueryStats miss_stats, hit_stats;
+  const std::vector<GraphId> answer = engine.Process(s.query, &miss_stats);
+  EXPECT_NE(miss_stats.candidates_initial, answer.size());
+  EXPECT_EQ(engine.Process(s.permuted, &hit_stats), answer);
+  EXPECT_EQ(hit_stats.shortcut, ShortcutKind::kExactHit);
+  EXPECT_EQ(hit_stats.iso_tests, 0u);
+  EXPECT_EQ(engine.Process(s.query), answer);
+
+  const std::vector<CachedQuery> entries = engine.cache().Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].meta.hits, 2u);
+  EXPECT_EQ(entries[0].meta.removed_candidates, 2 * answer.size());
 }
 
 // ---- Probe data: derived once per entry, shared across flushes. ----

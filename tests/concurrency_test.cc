@@ -1,14 +1,14 @@
-// Tests for the concurrent serving layer (docs/CONCURRENCY.md): the
-// sharded cache's placement/dedup invariants, the answer-equivalence and
-// cache-content contracts of ConcurrentQueryEngine vs the sequential
-// engine, limited-vs-unlimited commit parity on one stream, multi-threaded
-// stress under eviction pressure (the ThreadSanitizer CI target), the
-// collect_stats=false fast path, and the sharded-cache snapshot round trip.
+// Tests for concurrent serving (docs/CONCURRENCY.md): the sharded cache's
+// placement/dedup invariants, the answer-equivalence and cache-content
+// contracts of ConcurrentQueryEngine vs a one-stream QueryEngine,
+// limited-vs-unlimited commit parity on one stream, multi-threaded stress
+// under eviction pressure and under mutation churn on both engine
+// configurations (the ThreadSanitizer CI target), the collect_stats=false
+// fast path, and the sharded-cache snapshot round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
@@ -218,14 +218,16 @@ TEST(ConcurrentEngineTest, BudgetedPipelineParityWithPlainProcess) {
   }
 }
 
-TEST(ConcurrentEngineTest, StressUnderEvictionPressureStaysExact) {
+// Tiny capacity forces continuous flushes and evictions while six streams
+// probe — the interleaving TSan verifies and answers must survive. Expected
+// answers come from brute force, which no cache state can perturb. Run on
+// both engine configurations: with one shard every stream contends on the
+// same shard, and every query runs the host filter before the lookup.
+template <typename Engine>
+void ExpectExactUnderEvictionPressure() {
   const GraphDatabase db = MakeDb(23, 30);
   const std::vector<Graph> queries = MakeWorkload(db, 24, 160);
 
-  // Tiny capacity forces continuous flushes and evictions while six
-  // streams probe — the interleaving TSan verifies and answers must
-  // survive. Expected answers come from brute force, which no cache state
-  // can perturb.
   std::vector<std::vector<GraphId>> expected;
   expected.reserve(queries.size());
   for (const Graph& query : queries) {
@@ -240,13 +242,21 @@ TEST(ConcurrentEngineTest, StressUnderEvictionPressureStaysExact) {
 
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
   method->Build(db);
-  ConcurrentQueryEngine engine(db, method.get(), options);
+  Engine engine(db, method.get(), options);
   const auto results = engine.ProcessConcurrent(queries, /*streams=*/6);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].answer, expected[i]) << "query " << i;
   }
   EXPECT_LE(engine.cache().size(),
             engine.cache().num_shards() * engine.cache().shard_capacity());
+}
+
+TEST(ConcurrentEngineTest, StressUnderEvictionPressureStaysExact) {
+  ExpectExactUnderEvictionPressure<ConcurrentQueryEngine>();
+}
+
+TEST(OneShardEngineTest, StressUnderEvictionPressureStaysExact) {
+  ExpectExactUnderEvictionPressure<QueryEngine>();
 }
 
 TEST(ConcurrentEngineTest, SupergraphDirectionIsAnswerEquivalentToo) {
@@ -314,13 +324,12 @@ TEST(ConcurrentEngineTest, CollectStatsOffSkipsStatsButKeepsAnswers) {
   // zeros above prove nothing.
   EXPECT_GT(loud_candidates, 0u);
 
-  // Sequential batch path — the knob's home turf — honors it identically.
+  // A one-stream batch on the one-shard engine honors it identically.
   QueryEngine seq_quiet_engine(db, method.get(), options);
   const auto seq_quiet =
-      seq_quiet_engine.ProcessBatch(std::span<const Graph>(queries), no_stats);
+      seq_quiet_engine.ProcessConcurrent(queries, 1, no_stats);
   QueryEngine seq_loud_engine(db, method.get(), options);
-  const auto seq_loud =
-      seq_loud_engine.ProcessBatch(std::span<const Graph>(queries));
+  const auto seq_loud = seq_loud_engine.ProcessConcurrent(queries, 1);
   ASSERT_EQ(seq_quiet.size(), seq_loud.size());
   for (size_t i = 0; i < seq_quiet.size(); ++i) {
     EXPECT_EQ(seq_quiet[i].answer, seq_loud[i].answer) << "query " << i;
@@ -647,11 +656,13 @@ TEST(ShardedCacheTest, SupergraphDirectionPatchesContainedGraphs) {
             (std::vector<GraphId>{0, 5}));
 }
 
-TEST(ConcurrentEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
-  // Reader streams hammer the shared cache while one writer thread churns
-  // the dataset through the engine's mutation gate. Mid-churn answers race
-  // with the writer, so exactness is asserted at quiescence; the TSan CI
-  // job is what turns this into a lock-discipline proof.
+// Reader streams hammer the shared cache while one writer thread churns the
+// dataset through the engine's mutation gate. Mid-churn answers race with
+// the writer, so exactness is asserted at quiescence; the TSan CI job is
+// what turns this into a lock-discipline proof. Run on both engine
+// configurations.
+template <typename Engine>
+void ExpectExactUnderConcurrentMutation() {
   auto db = std::make_unique<GraphDatabase>(MakeDb(43, 32));
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "grapes");
   method->Build(*db);
@@ -659,7 +670,7 @@ TEST(ConcurrentEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
   options.cache_capacity = 64;
   options.window_size = 8;
   options.cache_shards = 4;
-  ConcurrentQueryEngine engine(*db, method.get(), options);
+  Engine engine(*db, method.get(), options);
 
   const std::vector<Graph> queries = MakeWorkload(*db, 44, 160);
 
@@ -709,6 +720,14 @@ TEST(ConcurrentEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
     }
     EXPECT_EQ(results[i].answer, expected) << "query " << i;
   }
+}
+
+TEST(ConcurrentEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
+  ExpectExactUnderConcurrentMutation<ConcurrentQueryEngine>();
+}
+
+TEST(OneShardEngineTest, ChurnStressStaysExactUnderConcurrentMutation) {
+  ExpectExactUnderConcurrentMutation<QueryEngine>();
 }
 
 TEST(ConcurrentEngineTest, MutatedShardedSnapshotRoundTrips) {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -466,7 +467,8 @@ TEST(LifecycleSequentialTest, BudgetedBatchReportsOutcomes) {
   const std::vector<Graph> queries = MakeQueries(db, 131, 10);
   BatchOptions batch;
   batch.budget.deadline_micros = 10'000'000;  // generous: everything lands
-  const std::vector<BatchResult> results = engine.ProcessBatch(queries, batch);
+  const std::vector<BatchResult> results =
+      engine.ProcessConcurrent(queries, /*streams=*/1, batch);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i].outcome.kind, QueryOutcomeKind::kCompleted);
@@ -476,6 +478,68 @@ TEST(LifecycleSequentialTest, BudgetedBatchReportsOutcomes) {
   const serving::OutcomeCounters counters = engine.serving_counters();
   EXPECT_EQ(counters.completed, queries.size());
   EXPECT_EQ(counters.total(), queries.size());
+}
+
+// QueryEngine filters before its exact-hit lookup, so a query waiting for
+// admission holds candidates filtered before it dropped the writer gate.
+// Mutations applied meanwhile must not leak stale candidates into what it
+// answers and caches: once quiet, every query — now an exact hit on its
+// cached answer — matches brute force over the live graphs.
+TEST(LifecycleSequentialTest, AdmissionWaitUnderChurnStaysExact) {
+  auto db = std::make_unique<GraphDatabase>(MakeDb(223, 16));
+  const std::vector<Graph> originals = db->graphs;
+  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "grapes");
+  method->Build(*db);
+  IgqOptions options;
+  options.cache_capacity = 512;  // no eviction: every answer stays cached
+  options.window_size = 8;
+  options.serving.admission_watermark = 1;  // one query runs at a time
+  options.serving.admission_max_waiters = 64;
+  QueryEngine engine(*db, method.get(), options);
+  const std::vector<Graph> queries = MakeQueries(*db, 227, 192);
+
+  // Copies of the source graphs join the answers of the queries drawn from
+  // them; removals drop ids from them.
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng rng(229);
+    std::vector<GraphId> live;
+    for (GraphId id = 0; id < originals.size(); ++id) live.push_back(id);
+    for (int op = 0; op < 1000 && !done.load(std::memory_order_acquire);
+         ++op) {
+      if (rng.Chance(0.6) || live.size() <= 8) {
+        const MutationResult added = engine.ApplyMutation(
+            *db, GraphMutation::Add(originals[rng.Below(originals.size())]));
+        EXPECT_TRUE(added.applied);
+        live.push_back(added.id);
+      } else {
+        const size_t slot = rng.Below(live.size());
+        EXPECT_TRUE(
+            engine.ApplyMutation(*db, GraphMutation::Remove(live[slot]))
+                .applied);
+        live.erase(live.begin() + static_cast<ptrdiff_t>(slot));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  BatchOptions batch;
+  batch.budget.deadline_micros = 60'000'000;  // limited, so admission runs
+  for (const BatchResult& result :
+       engine.ProcessConcurrent(queries, /*streams=*/4, batch)) {
+    EXPECT_EQ(result.outcome.kind, QueryOutcomeKind::kCompleted);
+  }
+  done.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_GT(engine.admission_stats().admitted, 0u);
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<GraphId> expected;
+    for (GraphId id : BruteForceSubgraphAnswer(db->graphs, queries[i])) {
+      if (db->IsLive(id)) expected.push_back(id);
+    }
+    EXPECT_EQ(engine.Process(queries[i]), expected) << "query " << i;
+  }
 }
 
 // ---- Concurrent engine: gate-wait, singleflight, admission, churn. ----

@@ -1,11 +1,11 @@
 // Tests for the unified query API: the two-direction MethodRegistry, the
-// ProcessBatch entry point (must equal per-query Process), IgqOptions
-// validation at engine construction, the persistent verification pool, and
-// supergraph-direction parity with the long-standing subgraph coverage.
+// one-stream batch (ProcessConcurrent with one stream must equal per-query
+// Process), IgqOptions validation at engine construction, the persistent
+// verification pool, and supergraph-direction parity with the long-standing
+// subgraph coverage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 
 #include "datasets/profiles.h"
 #include "igq/engine.h"
@@ -197,7 +197,7 @@ TEST(VerifyPoolTest, MatchesSequentialFilter) {
   EXPECT_TRUE(pool.Run({}, keep).empty());
 }
 
-// ---- ProcessBatch == per-query Process (the acceptance criterion). ----
+// ---- One-stream batch == per-query Process (the acceptance criterion). ----
 
 TEST(ProcessBatchTest, MatchesSequentialProcessOnAidsWorkload) {
   const GraphDatabase db = MakeDataset("aids", 0.01, 5);  // 60 graphs
@@ -223,7 +223,7 @@ TEST(ProcessBatchTest, MatchesSequentialProcessOnAidsWorkload) {
 
   QueryEngine batched(db, method.get(), options);
   const std::vector<BatchResult> results =
-      batched.ProcessBatch(std::span<const Graph>(queries));
+      batched.ProcessConcurrent(queries, /*streams=*/1);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].answer, expected[i]) << "query " << i;
@@ -254,9 +254,9 @@ TEST(ProcessBatchTest, PooledBatchMatchesSingleThreaded) {
   QueryEngine serial(db, m1.get(), serial_options);
   QueryEngine pooled(db, m2.get(), pooled_options);
   const auto serial_results =
-      serial.ProcessBatch(std::span<const Graph>(queries));
+      serial.ProcessConcurrent(queries, /*streams=*/1);
   const auto pooled_results =
-      pooled.ProcessBatch(std::span<const Graph>(queries));
+      pooled.ProcessConcurrent(queries, /*streams=*/1);
   ASSERT_EQ(serial_results.size(), pooled_results.size());
   for (size_t i = 0; i < serial_results.size(); ++i) {
     EXPECT_EQ(serial_results[i].answer, pooled_results[i].answer)
@@ -291,7 +291,7 @@ TEST(ProcessBatchTest, SupergraphBatchMatchesSequential) {
   for (const Graph& query : queries) {
     expected.push_back(sequential.Process(query));
   }
-  const auto results = batched.ProcessBatch(std::span<const Graph>(queries));
+  const auto results = batched.ProcessConcurrent(queries, /*streams=*/1);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].answer, expected[i]) << "query " << i;
