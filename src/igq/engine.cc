@@ -385,8 +385,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   auto commit_credits = [&] {
     cache_->RecordQueryProcessed();
     for (const PendingCredit& credit : pending_credits) {
-      session->CreditHit(credit.hit);
-      session->CreditPrune(credit.hit, credit.removed, credit.cost);
+      session->CreditHit(credit.hit, credit.removed, credit.cost);
     }
   };
   std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
@@ -408,32 +407,16 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       stats->isuper_hits = session->subgraph_hits().size();
     }
 
-    // §4.3 case 1: identical previous query — return its answer outright.
-    // Normally unreachable since the canonical fast path already checked,
-    // but a stale canonical ref (a flush raced the lookup) can miss there
-    // and land here. The query completes: tick, then the one crediting
-    // site, as on the fast path.
-    if (session->has_exact()) {
-      cache_->RecordQueryProcessed();
-      session->CreditExactHit(
-          session->exact(), candidates.size(),
-          SumIsomorphismCosts(*db_, direction, query_nodes, candidates));
-      result->answer = session->entry(session->exact()).answer.ToVector();
-      if (stats != nullptr) {
-        stats->shortcut = ShortcutKind::kExactHit;
-        stats->candidates_final = 0;
-        stats->answer_size = result->answer.size();
-      }
-      publish.Publish(result->answer);
-      return;
-    }
-
     // The §4.4 role inversion. For subgraph queries, cached *supergraphs*
     // of g yield guaranteed answers (formulas (3)/(4)) and cached
     // *subgraphs* intersect the candidate set (formula (5)). For supergraph
     // queries the roles swap: cached subgraphs G ⊆ g guarantee
     // (Gi ⊆ G ⊆ g), cached supergraphs g ⊆ G intersect (Gi ⊆ g implies
-    // Gi ⊆ G).
+    // Gi ⊆ G). The §4.3 exact match needs no case here: the key lookups
+    // above never miss a cached isomorph, so one reaches the probe only in
+    // a budgeted race (followers of a failed leader run unregistered). It
+    // is then a hit on both sides, and prune returns its answer with zero
+    // verification tests.
     const bool subgraph_query = direction == QueryDirection::kSubgraph;
     guarantee_hits =
         subgraph_query ? session->supergraph_hits() : session->subgraph_hits();

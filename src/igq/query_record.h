@@ -38,6 +38,16 @@ struct QueryGraphMetadata {
     return cost_saved /
            LogValue::FromLinear(static_cast<double>(QueriesSinceInsertion(now)));
   }
+
+  /// One hit at query-counter value `now` that removed `removed` candidates
+  /// worth `cost`: H += 1, R += removed, C += cost. Every §5.1 credit, of
+  /// an exact hit or of a prune, goes through here.
+  void Credit(uint64_t now, uint64_t removed, LogValue cost) {
+    ++hits;
+    last_hit_at = now;
+    removed_candidates += removed;
+    cost_saved += cost;
+  }
 };
 
 /// One entry of Igraphs: the query graph, its answer set (ids into the

@@ -36,23 +36,21 @@ void SaveCachedQuery(snapshot::BinaryWriter& writer,
   writer.WriteU64(record.meta.last_hit_at);
 }
 
-/// Restores a record written by SaveCachedQuery. `with_canonical` selects
-/// the record version: true reads the stored canonical key (version 2 —
-/// trusted, the section CRC already vouches for it), false recomputes it
-/// from the graph (version-1 records from pre-key snapshots). Returns false
-/// on malformed bytes, an answer id outside [0, num_graphs), or an unsorted
-/// answer.
+/// Restores a record written by SaveCachedQuery. The canonical key is
+/// always derived from the graph; `with_canonical` (record version 2) reads
+/// the stored key too, which must equal it — the section CRC only vouches
+/// for the bytes, and a wrong key would serve this entry's answer for
+/// another query. Version-1 records (pre-key snapshots) have no stored key.
+/// Returns false on malformed bytes, a stored key that differs from the
+/// derived one, an answer id outside [0, num_graphs), or an unsorted answer.
 bool LoadCachedQuery(snapshot::BinaryReader& reader, CachedQuery* record,
                      uint64_t num_graphs, bool with_canonical) {
   if (!reader.ReadU64(&record->id)) return false;
   if (!snapshot::ReadGraph(reader, &record->graph)) return false;
-  if (with_canonical) {
-    if (!reader.ReadString(&record->canonical)) return false;
-  } else {
-    // Version-1 record: the key did not exist yet; derive it so older
-    // snapshots restore into a fully keyed cache.
-    record->canonical = GraphCanonicalCode(record->graph);
-  }
+  std::string stored;
+  if (with_canonical && !reader.ReadString(&stored)) return false;
+  record->canonical = GraphCanonicalCode(record->graph);
+  if (with_canonical && stored != record->canonical) return false;
   uint64_t answer_size = 0;
   if (!reader.ReadU64(&answer_size)) return false;
   std::vector<GraphId> answer_ids;
@@ -155,34 +153,14 @@ const CachedQuery& ShardedQueryCache::ProbeSession::entry(
   return owner_->shards_[hit.shard]->entries[hit.position];
 }
 
-void ShardedQueryCache::ProbeSession::CreditHit(const Hit& hit) const {
+void ShardedQueryCache::ProbeSession::CreditHit(const Hit& hit,
+                                                uint64_t removed,
+                                                LogValue cost) const {
   Shard& shard = *owner_->shards_[hit.shard];
   std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
-  ++meta.hits;
-  meta.last_hit_at = owner_->queries_processed_.load(std::memory_order_relaxed);
-}
-
-void ShardedQueryCache::ProbeSession::CreditPrune(const Hit& hit,
-                                                  uint64_t removed,
-                                                  LogValue cost) const {
-  Shard& shard = *owner_->shards_[hit.shard];
-  std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
-  meta.removed_candidates += removed;
-  meta.cost_saved += cost;
-}
-
-void ShardedQueryCache::ProbeSession::CreditExactHit(const Hit& hit,
-                                                     uint64_t removed,
-                                                     LogValue cost) const {
-  Shard& shard = *owner_->shards_[hit.shard];
-  std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = shard.entries[hit.position].meta;
-  ++meta.hits;
-  meta.last_hit_at = owner_->queries_processed_.load(std::memory_order_relaxed);
-  meta.removed_candidates += removed;
-  meta.cost_saved += cost;
+  shard.entries[hit.position].meta.Credit(
+      owner_->queries_processed_.load(std::memory_order_relaxed), removed,
+      cost);
 }
 
 ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
@@ -212,69 +190,46 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
       session.subgraph_hits_.push_back(Hit{s, position});
     }
   }
-  // Exact-match shortcut (§4.3): containment + equal node and edge counts
-  // means isomorphism. Deterministic scan order: supergraph side first,
-  // then subgraph side, each in shard order.
-  auto is_exact = [this, &query](const Hit& hit) {
-    const Graph& g = shards_[hit.shard]->entries[hit.position].graph;
-    return g.NumVertices() == query.NumVertices() &&
-           g.NumEdges() == query.NumEdges();
-  };
-  for (const Hit& hit : session.supergraph_hits_) {
-    if (is_exact(hit)) {
-      session.has_exact_ = true;
-      session.exact_ = hit;
-      return session;
-    }
-  }
-  for (const Hit& hit : session.subgraph_hits_) {
-    if (is_exact(hit)) {
-      session.has_exact_ = true;
-      session.exact_ = hit;
-      return session;
-    }
-  }
   return session;
 }
 
 bool ShardedQueryCache::TryExactHit(
     const std::string& canonical,
-    const std::function<Credit(std::span<const GraphId>)>& credit_of,
+    FunctionRef<Credit(std::span<const GraphId>)> credit_of,
     std::vector<GraphId>* answer) {
-  CanonicalRef ref;
-  {
-    std::shared_lock<std::shared_mutex> map_lock(canonical_mutex_);
-    const auto it = canonical_index_.find(canonical);
-    if (it == canonical_index_.end()) return false;
-    ref = it->second;
+  for (;;) {
+    CanonicalRef ref;
+    {
+      std::shared_lock<std::shared_mutex> map_lock(canonical_mutex_);
+      const auto it = canonical_index_.find(canonical);
+      if (it == canonical_index_.end()) return false;
+      ref = it->second;
+    }
+    // The map lock is dropped before the shard lock is taken (lookups never
+    // hold both), so the copied ref is stale if a flush moved the entry
+    // between the two locks. That flush re-filed the key before releasing
+    // the shard lock this thread now holds, so reading the map again finds
+    // the entry (or its eviction).
+    Shard& shard = *shards_[ref.shard];
+    std::shared_lock<std::shared_mutex> lock(shard.mutex);
+    CachedQuery* record = nullptr;
+    if (ref.in_window) {
+      if (ref.index < shard.window.size()) record = &shard.window[ref.index];
+    } else if (ref.index < shard.entries.size()) {
+      record = &shard.entries[ref.index];
+    }
+    if (record == nullptr || record->id != ref.id) continue;
+    *answer = record->answer.ToVector();
+    const Credit credit = credit_of(*answer);
+    // The hit completes the query: tick its clock, then credit. The shared
+    // structure lock pins the record, the credit mutex serializes the
+    // update.
+    RecordQueryProcessed();
+    std::lock_guard<std::mutex> credits(shard.credit_mutex);
+    record->meta.Credit(queries_processed_.load(std::memory_order_relaxed),
+                        credit.removed, credit.cost);
+    return true;
   }
-  // The map lock is dropped before the shard lock is taken (lookups never
-  // hold both), so the copied ref may be stale — a flush moved the entry
-  // between the two locks. Validate against the live record and miss
-  // spuriously rather than lock both; the caller just runs the pipeline.
-  Shard& shard = *shards_[ref.shard];
-  std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  CachedQuery* record = nullptr;
-  if (ref.in_window) {
-    if (ref.index < shard.window.size()) record = &shard.window[ref.index];
-  } else if (ref.index < shard.entries.size()) {
-    record = &shard.entries[ref.index];
-  }
-  if (record == nullptr || record->id != ref.id) return false;
-  *answer = record->answer.ToVector();
-  const Credit credit = credit_of(*answer);
-  // The hit completes the query: tick its clock, then credit, in the order
-  // a probe-found exact hit commits (RecordQueryProcessed, CreditExactHit).
-  RecordQueryProcessed();
-  // One §5.1 credit site, as ProbeSession::CreditExactHit: the shared
-  // structure lock pins the record, the credit mutex serializes the update.
-  std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  QueryGraphMetadata& meta = record->meta;
-  ++meta.hits;
-  meta.last_hit_at = queries_processed_.load(std::memory_order_relaxed);
-  meta.removed_candidates += credit.removed;
-  meta.cost_saved += credit.cost;
-  return true;
 }
 
 void ShardedQueryCache::Insert(const Graph& query,
@@ -286,8 +241,8 @@ void ShardedQueryCache::Insert(const Graph& query,
 void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
                                std::string canonical,
                                const PathFeatureCounts& features) {
-  const uint64_t query_hash = GraphShardHash(query);
-  const size_t shard_index = static_cast<size_t>(query_hash % shards_.size());
+  const size_t shard_index =
+      static_cast<size_t>(GraphShardHash(query) % shards_.size());
   Shard& shard = *shards_[shard_index];
   // The entry's probe data — the only derivation it will ever get — is
   // built before the exclusive section, which stays cheap.
@@ -295,47 +250,30 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
   bool flush_due = false;
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    // Concurrent streams can race the same query past the probe (both miss,
-    // both insert). Structurally equal graphs always land in this shard, so
-    // a scan of its entries and window suffices to keep the cache
-    // duplicate-free. The scan compares the cached 8-byte hashes; graphs
-    // are only compared on a hash match, keeping this exclusive section
-    // cheap even on full shards.
-    for (size_t i = 0; i < shard.entry_hashes.size(); ++i) {
-      if (shard.entry_hashes[i] == query_hash &&
-          shard.entries[i].graph == query) {
-        return;
-      }
-    }
-    for (size_t i = 0; i < shard.window_hashes.size(); ++i) {
-      if (shard.window_hashes[i] == query_hash &&
-          shard.window[i].graph == query) {
-        return;
-      }
-    }
+    // Register the key first, while the exclusive structure lock pins the
+    // window slot it names (lock order: shard.mutex -> canonical_mutex_). A
+    // registered key means an isomorph is cached or queued in some shard:
+    // drop this copy. Registering at once is also what closes the
+    // singleflight loop: the key becomes hittable the moment the leader
+    // inserts, before it publishes and unregisters.
     CachedQuery record;
-    record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
+      const auto [slot, fresh] = canonical_index_.try_emplace(
+          canonical, CanonicalRef{shard_index, true, shard.window.size(), 0});
+      if (!fresh) return;
+      record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+      slot->second.id = record.id;
+    }
     record.graph = query;
-    record.canonical = canonical;
+    record.canonical = std::move(canonical);
     // Sortedness is detected in one pass (answers arrive sorted) and the
     // representation picked adaptively.
     record.answer = IdSet::FromIds(std::move(answer), universe_);
     record.meta.inserted_at =
         queries_processed_.load(std::memory_order_relaxed);
     record.probe = std::move(probe);
-    const uint64_t record_id = record.id;
     shard.window.push_back(std::move(record));
-    shard.window_hashes.push_back(query_hash);
-    // Register the key while the exclusive structure lock still pins the
-    // window slot (lock order: shard.mutex -> canonical_mutex_). This is
-    // what closes the singleflight loop: the key becomes hittable the
-    // moment the leader inserts, before it publishes and unregisters.
-    {
-      std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
-      canonical_index_.try_emplace(
-          std::move(canonical),
-          CanonicalRef{shard_index, true, shard.window.size() - 1, record_id});
-    }
     flush_due = shard.window.size() >= shard_window_;
   }
   if (flush_due) MaintainShard(shard_index, /*force=*/false, /*wait=*/false);
@@ -358,7 +296,6 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
     size_t take = 0;
     std::vector<size_t> survivor_from;
     std::vector<CachedQuery> staged;
-    std::vector<uint64_t> staged_hashes;
     const uint64_t now = queries_processed_.load(std::memory_order_relaxed);
     {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
@@ -397,18 +334,14 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
         for (size_t i = 0; i < evict; ++i) evicted[order[i]] = true;
       }
       staged.reserve(entries.size() + take);
-      staged_hashes.reserve(entries.size() + take);
       for (size_t i = 0; i < entries.size(); ++i) {
         if (!evicted[i]) {
           survivor_from.push_back(i);
           staged.push_back(entries[i]);
-          staged_hashes.push_back(shard.entry_hashes[i]);
         }
       }
-      for (size_t i = 0; i < take; ++i) {
-        staged.push_back(shard.window[i]);
-        staged_hashes.push_back(shard.window_hashes[i]);
-      }
+      staged.insert(staged.end(), shard.window.begin(),
+                    shard.window.begin() + static_cast<ptrdiff_t>(take));
     }
 
     // Shadow rebuild (§5.2) with no structure lock held: probes keep
@@ -433,12 +366,8 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
         staged[survivor_from.size() + i].meta = shard.window[i].meta;
       }
       shard.entries = std::move(staged);
-      shard.entry_hashes = std::move(staged_hashes);
       shard.window.erase(shard.window.begin(),
                          shard.window.begin() + static_cast<ptrdiff_t>(take));
-      shard.window_hashes.erase(
-          shard.window_hashes.begin(),
-          shard.window_hashes.begin() + static_cast<ptrdiff_t>(take));
       shard.index = std::move(fresh_index);
       // Evictions, window promotions, and the window shift above all moved
       // canonical keys around; rewrite this shard's slice of the map while
@@ -648,8 +577,8 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
        version != kCacheStateVersionNoCanonical)) {
     return false;
   }
-  // Version-1 payloads predate the canonical key; recompute it per record
-  // so pre-change snapshots stay loadable with the fast path intact.
+  // Version-1 payloads predate the stored canonical key; every record's key
+  // is derived from its graph either way (LoadCachedQuery).
   const bool with_canonical = version == kCacheStateVersion;
   if (!reader.ReadU32(&path_max_edges) ||
       path_max_edges != options_.path_max_edges) {
@@ -734,20 +663,9 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     }
     ProbeIndex fresh_index(enumerator_options_);
     fresh_index.Build(staged[s].entries);
-    std::vector<uint64_t> entry_hashes, window_hashes;
-    entry_hashes.reserve(staged[s].entries.size());
-    for (const CachedQuery& record : staged[s].entries) {
-      entry_hashes.push_back(GraphShardHash(record.graph));
-    }
-    window_hashes.reserve(staged[s].window.size());
-    for (const CachedQuery& record : staged[s].window) {
-      window_hashes.push_back(GraphShardHash(record.graph));
-    }
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     shard.entries = std::move(staged[s].entries);
     shard.window = std::move(staged[s].window);
-    shard.entry_hashes = std::move(entry_hashes);
-    shard.window_hashes = std::move(window_hashes);
     shard.index = std::move(fresh_index);
   }
   // Rebuild the canonical map wholesale — it is derived data, like the

@@ -5,6 +5,11 @@
 // streams proceed in parallel. QueryEngine runs it with one shard;
 // ConcurrentQueryEngine with IgqOptions::cache_shards.
 //
+// Identity: a cached query is its canonical key (GraphCanonicalCode). One
+// cache-wide map from key to entry decides both exact hits (TryExactHit)
+// and duplicates (Insert drops a query whose key is registered), so an
+// isomorph is cached or queued at most once across all shards.
+//
 // Concurrency design (docs/CONCURRENCY.md has the full model):
 //
 //   * Every shard guards its entries/window/index with a reader–writer
@@ -33,7 +38,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -42,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "features/feature_set.h"
 #include "features/path_enumerator.h"
 #include "igq/options.h"
@@ -54,9 +59,13 @@ class BinaryReader;
 class BinaryWriter;
 }  // namespace snapshot
 
-/// Structural hash of a graph (labels + sorted adjacency, id order). Equal
-/// graphs (Graph::operator==) hash equally, so a query's shard placement is
-/// deterministic and duplicate inserts always meet in the same shard.
+/// Structural hash of a graph (labels + sorted adjacency, id order); it
+/// places a query's entry in a shard. Equal graphs (Graph::operator==) hash
+/// equally, so placement is deterministic. Duplicates are decided by the
+/// cache-wide key map, not by placement, so isomorphic but unequal copies
+/// may hash to different shards. Placing by canonical key instead was
+/// measured: it raised the iso tests per query of perfbench `aids-hot`
+/// (docs/CONCURRENCY.md, "Shard and lock design", has the numbers).
 uint64_t GraphShardHash(const Graph& graph);
 
 /// Sharded Igraphs + probe index with reader–writer locking and deferred
@@ -96,24 +105,16 @@ class ShardedQueryCache {
     const std::vector<Hit>& supergraph_hits() const { return supergraph_hits_; }
     /// Hits G with G ⊆ query (the Isuper set).
     const std::vector<Hit>& subgraph_hits() const { return subgraph_hits_; }
-    /// The §4.3 exact-match shortcut, if any.
-    bool has_exact() const { return has_exact_; }
-    const Hit& exact() const { return exact_; }
     /// VF2 tests run against cached graphs during the probe.
     size_t probe_iso_tests() const { return probe_iso_tests_; }
 
     const CachedQuery& entry(const Hit& hit) const;
 
-    /// §5.1 metadata updates for `hit` (H += 1 / R += removed, C += cost).
-    /// Safe from concurrent sessions: serialized per shard by the credit
-    /// mutex, and excluded from flush swaps by this session's shared lock.
-    void CreditHit(const Hit& hit) const;
-    void CreditPrune(const Hit& hit, uint64_t removed, LogValue cost) const;
-    /// The one crediting site for an exact hit found through the probe
-    /// (H += 1, R += removed, C += cost in a single credit-mutex section) —
-    /// engines must not combine CreditHit + CreditPrune for exact hits, so
-    /// the fast path and this fallback cannot double-count.
-    void CreditExactHit(const Hit& hit, uint64_t removed, LogValue cost) const;
+    /// The §5.1 credit for one consulted entry (QueryGraphMetadata::Credit:
+    /// H += 1, R += removed, C += cost). Safe from concurrent sessions:
+    /// serialized per shard by the credit mutex, and excluded from flush
+    /// swaps by this session's shared lock.
+    void CreditHit(const Hit& hit, uint64_t removed, LogValue cost) const;
 
    private:
     friend class ShardedQueryCache;
@@ -123,8 +124,6 @@ class ShardedQueryCache {
     std::vector<std::shared_lock<std::shared_mutex>> locks_;
     std::vector<Hit> supergraph_hits_;
     std::vector<Hit> subgraph_hits_;
-    bool has_exact_ = false;
-    Hit exact_;
     size_t probe_iso_tests_ = 0;
   };
 
@@ -148,34 +147,35 @@ class ShardedQueryCache {
   ProbeSession Probe(const Graph& query,
                      const PathFeatureCounts& query_features);
 
-  /// Exact-hit fast path: if `canonical` resolves to a cached entry —
+  /// Exact-hit fast path (§4.3): if `canonical` resolves to a cached entry —
   /// flushed or still in a window, in any shard — copies its answer into
   /// `*answer`, ticks the query clock (RecordQueryProcessed: the hit
-  /// completes the query), credits the entry's §5.1 metadata in one step
-  /// (H += 1, then R and C from `credit_of(answer)`), and returns true. A
-  /// miss changes nothing.
+  /// completes the query), credits the entry's §5.1 metadata (H += 1, R
+  /// and C from `credit_of(answer)`), and returns true. A miss changes
+  /// nothing.
   /// One global hash lookup plus one shared shard lock; no feature
   /// extraction, no probe, no isomorphism test. `credit_of` is invoked at
   /// most once, with the answer ids, while the entry is pinned — lazily, so
   /// a miss pays nothing for the cost model.
   ///
-  /// Window entries are hittable because Insert registers the key at once:
-  /// that is what makes singleflight coalescing exact. May spuriously miss
-  /// when the ref went stale between the map read and the shard lock (a
-  /// flush moved the entry); the caller then just runs the normal pipeline.
-  bool TryExactHit(
-      const std::string& canonical,
-      const std::function<Credit(std::span<const GraphId>)>& credit_of,
-      std::vector<GraphId>* answer);
+  /// Never misses a cached key. Window entries are hittable because Insert
+  /// registers the key at once: that is what makes singleflight coalescing
+  /// exact. When a flush moved the entry between the map read and the
+  /// shard lock, the map is read again: that flush re-filed the key before
+  /// releasing the shard lock.
+  bool TryExactHit(const std::string& canonical,
+                   FunctionRef<Credit(std::span<const GraphId>)> credit_of,
+                   std::vector<GraphId>* answer);
 
   /// Advances the global query counter (the denominator clock for M(g)).
   void RecordQueryProcessed() { ++queries_processed_; }
 
-  /// Queues the executed query and its sorted answer into the owning
-  /// shard's window; a full window triggers the deferred flush on this
-  /// thread (skipped if another thread is already flushing that shard).
-  /// Duplicates — structurally equal graphs already cached or queued in the
-  /// shard, which concurrent streams can race past the probe — are dropped.
+  /// Registers the query's canonical key and queues the query and its
+  /// sorted answer into the owning shard's window; a full window triggers
+  /// the deferred flush on this thread (skipped if another thread is
+  /// already flushing that shard). A query whose key is already registered
+  /// — an isomorph is cached or queued in some shard — is dropped; streams
+  /// whose budgeted leader failed can race one past the fast path.
   /// The new entry's probe data is built here, once, from `features`. The
   /// two-argument form computes the canonical key and the features itself;
   /// engines pass the key they computed for the fast-path lookup and the
@@ -276,18 +276,12 @@ class ShardedQueryCache {
     std::vector<CachedQuery> window;  // Itemp slice
     /// Isub + Isuper over `entries`, by position; rebuilt at every flush.
     ProbeIndex index;
-    /// GraphShardHash of each entries/window graph, kept aligned so
-    /// Insert's duplicate scan under the exclusive lock compares 8-byte
-    /// hashes (falling back to structural equality only on a hash match)
-    /// instead of whole graphs — the exclusive section stays cheap.
-    std::vector<uint64_t> entry_hashes;
-    std::vector<uint64_t> window_hashes;
   };
 
   /// Where a canonical key's entry lives. Refs are validated on use (bounds
-  /// + id match) because a reader copies the ref, drops the
-  /// map lock, and only then locks the shard — a flush may have moved the
-  /// entry in between (the lookup then misses spuriously, which is safe).
+  /// + id match) because a reader copies the ref, drops the map lock, and
+  /// only then locks the shard — a flush may have moved the entry in
+  /// between (the lookup then reads the map again).
   struct CanonicalRef {
     size_t shard = 0;
     bool in_window = false;
@@ -314,12 +308,13 @@ class ShardedQueryCache {
   size_t shard_capacity_ = 1;
   size_t shard_window_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// canonical code -> entry location, across ALL shards. Global because the
-  /// shard hash is structural, not isomorphism-invariant: two isomorphic
-  /// copies of a query generally land in different shards, so a per-shard
-  /// map could not answer "is an isomorph cached anywhere?" in one lookup.
-  /// First registration wins on cross-shard key collisions (rare: two
-  /// isomorphic-but-unequal copies raced in before either was hittable).
+  /// canonical code -> entry location, across ALL shards: the cache's one
+  /// record of which queries it holds. Global because the shard hash is
+  /// structural, not isomorphism-invariant: two isomorphic copies of a
+  /// query generally land in different shards, so a per-shard map could
+  /// not answer "is an isomorph cached anywhere?" in one lookup. Insert
+  /// keeps keys unique; only a snapshot from an older build can hold two
+  /// isomorphs, and then the first registered copy wins.
   std::unordered_map<std::string, CanonicalRef> canonical_index_;
   mutable std::shared_mutex canonical_mutex_;
   std::atomic<uint64_t> queries_processed_{0};

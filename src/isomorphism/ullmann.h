@@ -8,19 +8,21 @@
 #ifndef IGQ_ISOMORPHISM_ULLMANN_H_
 #define IGQ_ISOMORPHISM_ULLMANN_H_
 
+#include "graph/graph.h"
 #include "isomorphism/match_core.h"
-#include "isomorphism/matcher.h"
 
 namespace igq {
 
 /// Ullmann matcher with the standard refinement procedure over a boolean
 /// candidate matrix (bitset rows). MatchStats::states counts search states
 /// entered, one per tentative row assignment plus one per solution.
-class UllmannMatcher : public SubgraphMatcher {
+class UllmannMatcher {
  public:
+  /// True iff `pattern` is subgraph-isomorphic to `target`, as
+  /// Vf2Matcher::Contains. When `stats` is non-null, the search's metrics
+  /// are ACCUMULATED into it.
   bool Contains(const Graph& pattern, const Graph& target,
-                MatchStats* stats = nullptr) const override;
-  std::string Name() const override { return "Ullmann"; }
+                MatchStats* stats = nullptr) const;
 };
 
 }  // namespace igq

@@ -14,17 +14,20 @@
 #include <optional>
 #include <vector>
 
+#include "graph/graph.h"
 #include "isomorphism/match_core.h"
-#include "isomorphism/matcher.h"
 
 namespace igq {
 
 /// VF2-based matcher with first-match early exit.
-class Vf2Matcher : public SubgraphMatcher {
+class Vf2Matcher {
  public:
+  /// True iff `pattern` is subgraph-isomorphic to `target` (paper
+  /// Definition 2: an injective, label-preserving mapping under which every
+  /// pattern edge maps to a target edge). When `stats` is non-null, the
+  /// search's metrics are ACCUMULATED into it.
   bool Contains(const Graph& pattern, const Graph& target,
-                MatchStats* stats = nullptr) const override;
-  std::string Name() const override { return "VF2"; }
+                MatchStats* stats = nullptr) const;
 
   /// Returns one embedding (pattern vertex -> target vertex) if any exists.
   static std::optional<std::vector<VertexId>> FindEmbedding(

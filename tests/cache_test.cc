@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 namespace igq {
 namespace {
 
+using testing::IsomorphHit;
 using testing::PathGraph;
 using testing::PermuteVertices;
 using testing::RandomConnectedGraph;
@@ -83,22 +85,33 @@ TEST(QueryCacheTest, ProbeFindsSubgraphsToo) {
   EXPECT_TRUE(probe.supergraph_hits().empty());
 }
 
+// The probe reports the one cached graph, an isomorph of `query`, on both
+// sides: it contains the query and is contained in it.
+void ExpectCachedCopyOnBothSides(ShardedQueryCache& cache, const Graph& query,
+                                 const Graph& cached) {
+  auto probe = cache.Probe(query, cache.ExtractFeatures(query));
+  const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(probe, query);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(probe.entry(*hit).graph, cached);
+  ASSERT_EQ(probe.supergraph_hits().size(), 1u);
+  ASSERT_EQ(probe.subgraph_hits().size(), 1u);
+  EXPECT_EQ(probe.entry(probe.subgraph_hits()[0]).graph, cached);
+}
+
 TEST(QueryCacheTest, ExactMatchDetected) {
   ShardedQueryCache cache(SmallOptions(10, 1));
   const Graph q = PathGraph({1, 2, 3});
   cache.Insert(q, {1});
-  auto probe = cache.Probe(q, cache.ExtractFeatures(q));
-  EXPECT_TRUE(probe.has_exact());
+  ExpectCachedCopyOnBothSides(cache, q, q);
 }
 
 TEST(QueryCacheTest, IsomorphicButDifferentOrderIsStillExact) {
   ShardedQueryCache cache(SmallOptions(10, 1));
-  cache.Insert(PathGraph({1, 2, 3}), {1});
+  const Graph q = PathGraph({1, 2, 3});
+  cache.Insert(q, {1});
   // Same path written from the other end: isomorphic, equal sizes, and a
   // containment holds — the §4.3 definition of "exactly the same".
-  const Graph reversed = PathGraph({3, 2, 1});
-  auto probe = cache.Probe(reversed, cache.ExtractFeatures(reversed));
-  EXPECT_TRUE(probe.has_exact());
+  ExpectCachedCopyOnBothSides(cache, PathGraph({3, 2, 1}), q);
 }
 
 TEST(QueryCacheTest, WindowDeduplicatesEqualGraphs) {
@@ -130,9 +143,9 @@ TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
   cache.RecordQueryProcessed();
   {
     auto probe = cache.Probe(b, cache.ExtractFeatures(b));
-    ASSERT_TRUE(probe.has_exact());
-    probe.CreditHit(probe.exact());
-    probe.CreditPrune(probe.exact(), 5, LogValue::FromLinear(1e6));
+    const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(probe, b);
+    ASSERT_TRUE(hit.has_value());
+    probe.CreditHit(*hit, 5, LogValue::FromLinear(1e6));
   }
 
   // Insert c: capacity 2 forces one eviction; it must be `a`.
@@ -205,11 +218,13 @@ TEST(QueryCacheTest, AnswersStoredSorted) {
 
 // ---- Canonical-key exact-hit fast path. ----
 
-TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
-  // Parity with the isomorphism path: for any query, the canonical map and
-  // the probe's §4.3 exact scan must agree — same hit/miss, same entry (each
-  // cached graph has its own answer). Permuted copies of cached graphs
-  // exercise the hit side, fresh random graphs the (mostly) miss side.
+TEST(QueryCacheTest, CanonicalKeyLookupMatchesVf2BothWays) {
+  // Parity with isomorphism: for any query, the canonical map hits iff VF2
+  // finds a cached graph that contains the query and is contained in it,
+  // and then returns that entry's answer (each cached graph has its own).
+  // Permuted copies of cached graphs exercise the hit side, fresh random
+  // graphs the (mostly) miss side.
+  const Vf2Matcher vf2;
   ShardedQueryCache cache(SmallOptions(64, 4));
   Rng rng(21);
   std::vector<Graph> cached;
@@ -219,6 +234,7 @@ TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
     cache.Insert(cached.back(), {static_cast<GraphId>(i)});
   }
   cache.FlushAll();
+  const std::vector<CachedQuery> entries = cache.Entries();
   size_t hits = 0;
   for (int i = 0; i < 200; ++i) {
     const Graph query =
@@ -226,12 +242,18 @@ TEST(QueryCacheTest, CanonicalKeyLookupMatchesProbeExactPath) {
             ? PermuteVertices(rng, cached[rng.Below(cached.size())])
             : RandomConnectedGraph(rng, 5 + rng.Below(6), 3 + rng.Below(4),
                                    3);
+    const CachedQuery* isomorph = nullptr;
+    for (const CachedQuery& entry : entries) {
+      if (vf2.Contains(query, entry.graph) &&
+          vf2.Contains(entry.graph, query)) {
+        isomorph = &entry;
+        break;
+      }
+    }
     std::vector<GraphId> by_key;
-    const bool key_hit = ExactHit(cache, query, &by_key);
-    auto probe = cache.Probe(query, cache.ExtractFeatures(query));
-    ASSERT_EQ(key_hit, probe.has_exact());
-    if (key_hit) {
-      EXPECT_EQ(by_key, probe.entry(probe.exact()).answer.ToVector());
+    ASSERT_EQ(ExactHit(cache, query, &by_key), isomorph != nullptr);
+    if (isomorph != nullptr) {
+      EXPECT_EQ(by_key, isomorph->answer.ToVector());
       ++hits;
     }
   }
@@ -252,10 +274,10 @@ TEST(QueryCacheTest, ExactHitSeesWindowEntries) {
   EXPECT_TRUE(ExactHit(cache, q, &answer));
 }
 
-TEST(QueryCacheTest, CreditExactHitCountsOnce) {
-  // The one §5.1 crediting site: a single exact hit ticks the query clock
-  // and moves H, R, C, and the LRU clock exactly once — R and C come from
-  // the caller's credit, not from the cached answer.
+TEST(QueryCacheTest, TryExactHitCreditsOnce) {
+  // A single exact hit ticks the query clock and moves H, R, C, and the LRU
+  // clock exactly once — R and C come from the caller's credit, not from
+  // the cached answer.
   ShardedQueryCache cache(SmallOptions(4, 1));
   const Graph q = PathGraph({1, 2, 3});
   cache.Insert(q, {1, 4});
@@ -410,10 +432,10 @@ TEST(QueryCacheTest, ProbeDataMatchesEnumeration) {
   for (uint32_t version : {1u, 2u}) {
     std::ostringstream payload;
     snapshot::BinaryWriter writer(payload);
-    testing::WriteOneShardHeader(writer, version, options, /*num_graphs=*/10,
-                                 /*dataset_crc=*/0x5eed,
-                                 /*queries_processed=*/20,
-                                 /*next_id=*/10);
+    testing::WriteCacheHeader(writer, version, options, /*num_graphs=*/10,
+                              /*dataset_crc=*/0x5eed,
+                              /*queries_processed=*/20,
+                              /*next_id=*/10);
     const std::vector<GraphId> answer{static_cast<GraphId>(version)};
     writer.WriteU64(8);  // flushed entries
     for (uint64_t i = 0; i < 10; ++i) {

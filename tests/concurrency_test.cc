@@ -1,15 +1,18 @@
 // Tests for concurrent serving (docs/CONCURRENCY.md): the sharded cache's
-// placement/dedup invariants, the answer-equivalence and cache-content
-// contracts of ConcurrentQueryEngine vs a one-stream QueryEngine,
-// limited-vs-unlimited commit parity on one stream, multi-threaded stress
-// under eviction pressure and under mutation churn on both engine
-// configurations (the ThreadSanitizer CI target), the collect_stats=false
-// fast path, and the sharded-cache snapshot round trip.
+// placement/dedup invariants and key lookups racing flushes, the
+// answer-equivalence and cache-content contracts of ConcurrentQueryEngine
+// vs a one-stream QueryEngine, limited-vs-unlimited commit parity on one
+// stream, multi-threaded stress under eviction pressure and under mutation
+// churn on both engine configurations (the ThreadSanitizer CI target), the
+// collect_stats=false fast path, and the sharded-cache snapshot round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
@@ -27,6 +30,7 @@ namespace {
 
 using testing::BruteForceSubgraphAnswer;
 using testing::ExpectSameStats;
+using testing::IsomorphHit;
 using testing::RandomConnectedGraph;
 using testing::RandomSubgraphOf;
 
@@ -112,6 +116,89 @@ TEST(ShardedCacheTest, InsertDeduplicatesAcrossWindowAndEntries) {
   EXPECT_EQ(cache.size() + cache.window_fill(), 1u);
 }
 
+TEST(ShardedCacheTest, IsomorphsShareOneEntryAcrossShards) {
+  // Vertex-permuted copies of one graph hash to different shards, but they
+  // share one canonical key, so the cache keeps only the first copy — both
+  // while it waits in a window and after its flush.
+  IgqOptions options;
+  options.cache_capacity = 64;
+  options.window_size = 16;
+  options.cache_shards = 4;
+  ShardedQueryCache cache(ValidatedIgqOptions(options));
+
+  Rng rng(67);
+  const Graph g = RandomConnectedGraph(rng, 9, 5, 3);
+  cache.Insert(g, {1});
+  std::unordered_set<uint64_t> shards{GraphShardHash(g) % 4};
+  for (int i = 0; i < 8; ++i) {
+    if (i == 4) cache.FlushAll();
+    const Graph copy = testing::PermuteVertices(rng, g);
+    shards.insert(GraphShardHash(copy) % 4);
+    cache.Insert(copy, {2});
+  }
+  ASSERT_GT(shards.size(), 1u) << "the copies must spread over shards";
+  const std::vector<CachedQuery> entries = cache.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].graph, g);
+  EXPECT_EQ(entries[0].answer.ToVector(), std::vector<GraphId>{1});
+}
+
+TEST(ShardedCacheTest, CachedKeyNeverMissesAcrossFlushes) {
+  // One writer inserts fresh graphs and publishes each key once Insert
+  // returns; three readers look up the newest keys until the writer stops.
+  // Nothing is evicted, so every lookup must hit, although flushes (one
+  // per 4 inserts into a shard) keep moving entries under the readers.
+  constexpr size_t kInserts = 300;
+  for (size_t num_shards : {1u, 4u}) {
+    IgqOptions options;
+    options.cache_capacity = 4 * kInserts * num_shards;
+    options.window_size = 4 * num_shards;
+    options.cache_shards = num_shards;
+    ShardedQueryCache cache(ValidatedIgqOptions(options));
+
+    Rng rng(71);
+    std::vector<Graph> graphs;
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < kInserts; ++i) {
+      graphs.push_back(
+          RandomConnectedGraph(rng, 6 + rng.Below(6), 2 + rng.Below(4), 3));
+      keys.push_back(GraphCanonicalCode(graphs.back()));
+    }
+    std::atomic<size_t> published{0};
+    std::atomic<bool> done{false};
+    std::atomic<size_t> lookups{0}, misses{0};
+    auto reader = [&] {
+      std::vector<GraphId> answer;
+      auto no_credit = [](std::span<const GraphId>) {
+        return ShardedQueryCache::Credit{};
+      };
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t newest = published.load(std::memory_order_acquire);
+        for (size_t i = newest > 8 ? newest - 8 : 0; i < newest; ++i) {
+          lookups.fetch_add(1, std::memory_order_relaxed);
+          if (!cache.TryExactHit(keys[i], no_credit, &answer)) {
+            misses.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    };
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+    for (size_t i = 0; i < kInserts; ++i) {
+      cache.Insert(graphs[i], {static_cast<GraphId>(i)}, keys[i],
+                   cache.ExtractFeatures(graphs[i]));
+      published.store(i + 1, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& thread : readers) thread.join();
+    EXPECT_EQ(misses.load(), 0u)
+        << num_shards << " shard(s), " << lookups.load() << " lookups";
+    EXPECT_EQ(cache.window_fill() + cache.size(),
+              std::unordered_set<std::string>(keys.begin(), keys.end())
+                  .size());
+  }
+}
+
 TEST(ShardedCacheTest, ProbeSeesFlushedEntriesOnly) {
   IgqOptions options;
   options.cache_capacity = 16;
@@ -124,14 +211,14 @@ TEST(ShardedCacheTest, ProbeSeesFlushedEntriesOnly) {
   cache.Insert(g, {0});
   {
     auto session = cache.Probe(g, cache.ExtractFeatures(g));
-    EXPECT_FALSE(session.has_exact());  // still in the window (Itemp)
+    EXPECT_FALSE(IsomorphHit(session, g).has_value());  // still in Itemp
   }
   cache.FlushAll();
   {
     auto session = cache.Probe(g, cache.ExtractFeatures(g));
-    ASSERT_TRUE(session.has_exact());
-    EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
-              std::vector<GraphId>{0});
+    const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, g);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(session.entry(*hit).answer.ToVector(), std::vector<GraphId>{0});
   }
 }
 
@@ -585,8 +672,9 @@ TEST(ShardedCacheTest, RemovalPatchesFlushedAnswersAtOnce) {
   ASSERT_EQ(cache.window_fill(), 1u);
   {
     auto session = cache.Probe(a, cache.ExtractFeatures(a));
-    ASSERT_TRUE(session.has_exact());
-    EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
+    const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, a);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(session.entry(*hit).answer.ToVector(),
               (std::vector<GraphId>{0, 5}));
   }
   const std::vector<CachedQuery> entries = cache.Entries();
@@ -613,8 +701,9 @@ TEST(ShardedCacheTest, AddedGraphJoinsFlushedAndWindowedAnswers) {
   cache.ApplyGraphAdded(q, 7, QueryDirection::kSubgraph);
   {
     auto session = cache.Probe(q, cache.ExtractFeatures(q));
-    ASSERT_TRUE(session.has_exact());
-    EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
+    const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, q);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(session.entry(*hit).answer.ToVector(),
               (std::vector<GraphId>{0, 7}));
   }
 
@@ -626,9 +715,9 @@ TEST(ShardedCacheTest, AddedGraphJoinsFlushedAndWindowedAnswers) {
   cache.Insert(RandomConnectedGraph(rng, 9, 4, 3), {});  // flush
   {
     auto session = cache.Probe(s, cache.ExtractFeatures(s));
-    ASSERT_TRUE(session.has_exact());
-    const std::vector<GraphId> answer =
-        session.entry(session.exact()).answer.ToVector();
+    const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, s);
+    ASSERT_TRUE(hit.has_value());
+    const std::vector<GraphId> answer = session.entry(*hit).answer.ToVector();
     EXPECT_TRUE(std::find(answer.begin(), answer.end(), 9) != answer.end())
         << "window record missed the added graph";
   }
@@ -651,8 +740,9 @@ TEST(ShardedCacheTest, SupergraphDirectionPatchesContainedGraphs) {
   cache.ApplyGraphAdded(testing::StarGraph(7, {7, 7, 7}), 6,
                         QueryDirection::kSupergraph);
   auto session = cache.Probe(q, cache.ExtractFeatures(q));
-  ASSERT_TRUE(session.has_exact());
-  EXPECT_EQ(session.entry(session.exact()).answer.ToVector(),
+  const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, q);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(session.entry(*hit).answer.ToVector(),
             (std::vector<GraphId>{0, 5}));
 }
 

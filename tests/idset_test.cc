@@ -370,6 +370,26 @@ TEST(PruneCandidatesTest, EmptyIntersectAnswerShortCircuits) {
   EXPECT_EQ(credited, 1u);
 }
 
+TEST(PruneCandidatesTest, IsomorphOnBothSidesLeavesNothingToVerify) {
+  // A cached isomorph of the query contains it and is contained in it, so
+  // a probe reports it on both sides. Its answer is then guaranteed and
+  // bounds every other candidate: nothing is left to verify, and the
+  // assembled answer is its answer.
+  const size_t universe = 100;
+  std::vector<CachedQuery> entries(1);
+  entries[0].answer = IdSet::FromSortedUnique({2, 5, 7}, universe);
+  const std::vector<const CachedQuery*> both{&entries[0]};
+  const std::vector<GraphId> candidates{1, 2, 4, 5, 7, 9};
+  PruneScratch scratch;
+  const PruneOutcome& outcome = PruneCandidates(
+      candidates, both, both,
+      [](PruneSide, size_t, std::span<const GraphId>) {}, scratch);
+  EXPECT_TRUE(outcome.remaining.empty());
+  std::vector<GraphId> answer;
+  AssembleAnswer(outcome, {}, scratch, &answer);
+  EXPECT_EQ(answer, (std::vector<GraphId>{2, 5, 7}));
+}
+
 TEST(PruneCandidatesTest, SteadyStatePruneIsAllocationFree) {
   Rng rng(31);
   const size_t universe = 2048;

@@ -3,6 +3,9 @@
 // according to their metric, and none may affect answer correctness.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "igq/engine.h"
 #include "igq/sharded_cache.h"
 #include "methods/ggsx.h"
@@ -26,13 +29,14 @@ IgqOptions PolicyOptions(ReplacementPolicy policy, size_t capacity,
 }
 
 // Credits the cached entry isomorphic to `graph` through a probe session,
-// the engines' own crediting path: H += 1, then R += removed, C += cost.
+// the engines' own crediting path: H += 1, R += removed, C += cost.
 void Credit(ShardedQueryCache& cache, const Graph& graph, uint64_t removed = 0,
             LogValue cost = LogValue::Zero()) {
   auto probe = cache.Probe(graph, cache.ExtractFeatures(graph));
-  ASSERT_TRUE(probe.has_exact());
-  probe.CreditHit(probe.exact());
-  probe.CreditPrune(probe.exact(), removed, cost);
+  const std::optional<ShardedQueryCache::Hit> hit =
+      testing::IsomorphHit(probe, graph);
+  ASSERT_TRUE(hit.has_value());
+  probe.CreditHit(*hit, removed, cost);
 }
 
 // Fills a capacity-2 cache with graphs a and b, gives them metadata via the

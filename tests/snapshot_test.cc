@@ -884,9 +884,9 @@ TEST(CacheStateTest, Version1PayloadLoadsByRecomputingCanonicalKeys) {
 
   std::ostringstream payload;
   snapshot::BinaryWriter writer(payload);
-  testing::WriteOneShardHeader(writer, /*version=*/1, validated,
-                               /*num_graphs=*/10, /*dataset_crc=*/0x1234,
-                               /*queries_processed=*/5, /*next_id=*/2);
+  testing::WriteCacheHeader(writer, /*version=*/1, validated,
+                            /*num_graphs=*/10, /*dataset_crc=*/0x1234,
+                            /*queries_processed=*/5, /*next_id=*/2);
   const Graph a = testing::PathGraph({1, 2, 3});
   const Graph b = testing::Triangle(4, 4, 4);
   writer.WriteU64(2);  // flushed entries
@@ -941,10 +941,10 @@ TEST(CacheStateTest, OneShardSectionSnapshotLoadsIntoQueryEngine) {
   std::ostringstream payload;
   {
     snapshot::BinaryWriter writer(payload);
-    testing::WriteOneShardHeader(writer, /*version=*/2, options,
-                                 db.graphs.size(),
-                                 snapshot::DatasetFingerprint(db.graphs),
-                                 /*queries_processed=*/9, /*next_id=*/3);
+    testing::WriteCacheHeader(writer, /*version=*/2, options,
+                              db.graphs.size(),
+                              snapshot::DatasetFingerprint(db.graphs),
+                              /*queries_processed=*/9, /*next_id=*/3);
     writer.WriteU64(2);  // flushed entries
     testing::WriteRecord(writer, 2, 0, graphs[0], answers[0], metas[0]);
     testing::WriteRecord(writer, 2, 1, graphs[1], answers[1], metas[1]);
@@ -995,6 +995,58 @@ TEST(CacheStateTest, OneShardSectionSnapshotLoadsIntoQueryEngine) {
   EXPECT_FALSE(two_shards.Load(reader, db.graphs.size(),
                                snapshot::DatasetFingerprint(db.graphs),
                                /*with_shard_count=*/false));
+}
+
+TEST(CacheStateTest, ForgedCanonicalKeyRejected) {
+  // A checksum-valid cache section whose one record holds the path 1-2 and
+  // its answer {0}. Stored with its own key it loads; stored with the key
+  // of the path 7-8 it must be rejected — trusting that key would answer
+  // 7-8 with {0} although only graph 1 contains it — and the engine's
+  // cache must stay untouched.
+  GraphDatabase db;
+  db.graphs.push_back(testing::PathGraph({1, 2}));
+  db.graphs.push_back(testing::PathGraph({7, 8}));
+  db.RefreshLabelCount();
+  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+  method->Build(db);
+  const IgqOptions options = OneShardOptions(8, 2);
+  const Graph cached = testing::PathGraph({1, 2});
+  const Graph forged = testing::PathGraph({7, 8});
+
+  auto snapshot_with_key = [&](const std::string& key) {
+    std::ostringstream payload;
+    snapshot::BinaryWriter writer(payload);
+    testing::WriteCacheHeader(writer, /*version=*/2, options, db.graphs.size(),
+                              snapshot::DatasetFingerprint(db.graphs),
+                              /*queries_processed=*/1, /*next_id=*/1,
+                              /*shard_count=*/1);
+    writer.WriteU64(1);  // flushed entries
+    const std::vector<GraphId> answer{0};
+    testing::WriteRecord(writer, 2, 0, cached, answer, {}, key);
+    writer.WriteU64(0);  // empty window
+    EXPECT_TRUE(writer.ok());
+    std::stringstream file;
+    snapshot::WriteSnapshotHeader(file);
+    snapshot::WriteSection(file, snapshot::kSectionCache, payload.str());
+    snapshot::WriteSnapshotEnd(file);
+    return file.str();
+  };
+
+  {
+    QueryEngine engine(db, method.get(), options);
+    std::istringstream in(snapshot_with_key(GraphCanonicalCode(cached)));
+    std::string error;
+    ASSERT_TRUE(engine.LoadSnapshot(in, &error)) << error;
+    EXPECT_EQ(engine.cache().size(), 1u);
+  }
+  QueryEngine engine(db, method.get(), options);
+  std::istringstream in(snapshot_with_key(GraphCanonicalCode(forged)));
+  EXPECT_FALSE(engine.LoadSnapshot(in));
+  EXPECT_EQ(engine.cache().size(), 0u);
+  const std::vector<GraphId> expected =
+      BruteForceSubgraphAnswer(db.graphs, forged);
+  ASSERT_EQ(expected, std::vector<GraphId>{1});
+  EXPECT_EQ(engine.Process(forged), expected);
 }
 
 }  // namespace

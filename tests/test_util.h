@@ -5,11 +5,13 @@
 #define IGQ_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/graph.h"
+#include "igq/sharded_cache.h"
 #include "isomorphism/ullmann.h"
 #include "isomorphism/vf2.h"
 #include "methods/method.h"
@@ -85,6 +87,21 @@ inline Graph PermuteVertices(Rng& rng, const Graph& g) {
     }
   }
   return out;
+}
+
+/// The probe's hit on a cached isomorph of `query`, if any: a supergraph hit
+/// with equal vertex and edge counts (containment plus equal sizes is
+/// isomorphism, §4.3).
+inline std::optional<ShardedQueryCache::Hit> IsomorphHit(
+    const ShardedQueryCache::ProbeSession& session, const Graph& query) {
+  for (const ShardedQueryCache::Hit& hit : session.supergraph_hits()) {
+    const Graph& cached = session.entry(hit).graph;
+    if (cached.NumVertices() == query.NumVertices() &&
+        cached.NumEdges() == query.NumEdges()) {
+      return hit;
+    }
+  }
+  return std::nullopt;
 }
 
 /// Small pre-baked graphs used by many suites.
