@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -595,17 +596,18 @@ int RunSmoke() {
     popts.include_single_vertices = true;
     const Graph host = MakeRandomGraph(55, 300, 150, 6);
     Rng crng(71);
-    std::vector<CachedQuery> cached(40);
+    std::vector<std::shared_ptr<CachedQuery>> cached(40);
     for (size_t i = 0; i < cached.size(); ++i) {
       // Half the population grows from the probe query's own root, so BFS
       // nesting guarantees both sub- and supergraph hits below.
       const VertexId root =
           i % 2 == 0 ? 7 : static_cast<VertexId>(crng.Below(300));
-      cached[i].graph = BfsNeighborhoodQuery(host, root, 4 + (i % 9) * 2);
+      cached[i] = std::make_shared<CachedQuery>();
+      cached[i]->graph = BfsNeighborhoodQuery(host, root, 4 + (i % 9) * 2);
       // As the cache builds its entries: probe data from the features the
       // query was probed with.
-      cached[i].probe = MakeProbeData(
-          cached[i].graph, CountPathFeatures(cached[i].graph, popts));
+      cached[i]->probe = MakeProbeData(
+          cached[i]->graph, CountPathFeatures(cached[i]->graph, popts));
     }
     ProbeIndex index(popts);
     index.Build(cached);

@@ -158,14 +158,39 @@ class CanonicalSearch {
     // Individualize each member of the target cell in turn: the chosen
     // vertex gets a rank just below its classmates, then refinement runs
     // again. Doubling preserves the relative order of every other class.
+    // A member that is a twin of one already tried is skipped: swapping
+    // the two is an automorphism that fixes this coloring, so its branch
+    // yields the same leaf codes. Without this, k same-label leaves of one
+    // vertex (or a same-label clique) cost k! branches.
+    std::vector<VertexId> tried;
     for (VertexId v = 0; v < n; ++v) {
       if (colors[v] != target_color) continue;
+      if (std::any_of(tried.begin(), tried.end(),
+                      [&](VertexId t) { return Twins(t, v); })) {
+        continue;
+      }
+      tried.push_back(v);
       std::vector<uint32_t> child(colors);
       for (VertexId u = 0; u < n; ++u) {
         child[u] = child[u] * 2 + (u == v ? 0 : 1);
       }
       RankDense(&child);
       Search(std::move(child));
+    }
+  }
+
+  // True when N(a) \ {b} == N(b) \ {a}, over the sorted adjacency lists.
+  bool Twins(VertexId a, VertexId b) const {
+    const std::vector<VertexId>& na = graph_.Neighbors(a);
+    const std::vector<VertexId>& nb = graph_.Neighbors(b);
+    auto i = na.begin(), j = nb.begin();
+    for (;;) {
+      if (i != na.end() && *i == b) ++i;
+      if (j != nb.end() && *j == a) ++j;
+      if (i == na.end() || j == nb.end()) {
+        return i == na.end() && j == nb.end();
+      }
+      if (*i++ != *j++) return false;
     }
   }
 

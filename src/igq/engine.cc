@@ -29,7 +29,8 @@ IgqOptions EngineOptions(const IgqOptions& options, bool sharded) {
   return validated;
 }
 
-// One §5.1 prune credit, buffered until the query commits.
+// One §5.1 prune credit, buffered until the query commits; the hit keeps
+// its entry alive until then.
 struct PendingCredit {
   ShardedQueryCache::Hit hit;
   uint64_t removed;
@@ -153,17 +154,15 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       stats != nullptr ? &stats->verify_micros : nullptr;
   ScopedTimer total_timer(stats != nullptr ? &stats->total_micros : nullptr);
 
-  // Only a limited control reaches the searches, admission, and the commit
-  // deferral. An unlimited query's searches never poll it, and its stage
-  // checkpoints below never fire.
+  // Only a limited control reaches the searches and admission. An
+  // unlimited query's searches never poll it, and its stage checkpoints
+  // below never fire.
   serving::QueryControl* const limit = control.limited() ? &control : nullptr;
 
   // A stopped query has committed nothing to the cache, so it leaves the
   // cache bit-identical to one that never saw it. A stop during or after
-  // the prune stage may degrade to a cache-composed partial answer.
-  auto stop = [&](bool partial_eligible, std::vector<GraphId> partial_answer) {
-    const bool partial =
-        partial_eligible && options_.serving.degrade_to_partial;
+  // the prune stage degrades to a cache-composed partial answer.
+  auto stop = [&](bool partial, std::vector<GraphId> partial_answer) {
     result->outcome = serving::MakeStoppedOutcome(control, partial);
     result->answer =
         partial ? std::move(partial_answer) : std::vector<GraphId>{};
@@ -369,25 +368,14 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   if (prepared == nullptr && !filter()) return stop(false, {});
 
   // Stage 2 (Fig. 6): probe + prune. The probe session holds shared locks
-  // on every shard; entries are read in place and credited through it, so
-  // it must outlive the credits. The credits are buffered during prune,
-  // and the commit sequence — clock tick, then the credits in consultation
-  // order — runs while the session lives:
-  //   * unlimited: right after prune, then the session is dropped, so no
-  //     shard lock is held through verification, the long stage;
-  //   * limited: after verification, so a stop anywhere leaves no trace.
-  //     The extended hold is bounded by the query's budget and blocks only
-  //     shard-exclusive work (inserts, flush swaps), never other probes.
-  // With the cache disabled there is no session: every candidate goes on
-  // to verification and nothing commits.
+  // on every shard while prune reads the entries in place, and is dropped
+  // right after, so no shard lock is held through verification, the long
+  // stage. The §5.1 credits are buffered, each holding its entry, and commit
+  // after verification, so a stop anywhere leaves no trace. With the cache
+  // disabled there is no session: every candidate goes on to verification
+  // and nothing commits.
   std::optional<ShardedQueryCache::ProbeSession> session;
   std::vector<PendingCredit> pending_credits;
-  auto commit_credits = [&] {
-    cache_->RecordQueryProcessed();
-    for (const PendingCredit& credit : pending_credits) {
-      session->CreditHit(credit.hit, credit.removed, credit.cost);
-    }
-  };
   std::span<const ShardedQueryCache::Hit> guarantee_hits, intersect_hits;
   std::vector<const CachedQuery*> guarantee, intersect;
   PathFeatureCounts features;  // extracted for the probe, reused by Insert
@@ -424,11 +412,11 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
         subgraph_query ? session->subgraph_hits() : session->supergraph_hits();
     guarantee.reserve(guarantee_hits.size());
     for (const ShardedQueryCache::Hit& hit : guarantee_hits) {
-      guarantee.push_back(&session->entry(hit));
+      guarantee.push_back(hit.entry.get());
     }
     intersect.reserve(intersect_hits.size());
     for (const ShardedQueryCache::Hit& hit : intersect_hits) {
-      intersect.push_back(&session->entry(hit));
+      intersect.push_back(hit.entry.get());
     }
   }
   // This thread's prune scratch; the outcome inside stays valid through
@@ -456,16 +444,13 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
       stats->shortcut = ShortcutKind::kEmptyAnswerPruning;
     }
   }
+  session.reset();  // shard locks released before verification
   // A stop during prune: the entries consulted so far yielded true facts,
   // so the guaranteed set is a valid partial answer (§4.3 composition).
   if (control.stopped()) {
     std::vector<GraphId> partial;
     AssembleAnswer(pruned, {}, prune_scratch, &partial);
     return stop(true, std::move(partial));
-  }
-  if (session.has_value() && limit == nullptr) {
-    commit_credits();
-    session.reset();  // shard locks released before verification
   }
 
   // Stages 3-5 (Fig. 6): verification, then formula (4): Answer(g) =
@@ -483,18 +468,17 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   // guaranteed ∪ verified is still a true partial answer. Never cached.
   if (control.stopped()) return stop(true, std::move(result->answer));
 
-  // Stages 6-8 (Fig. 6): commit.
+  // Stages 6-8 (Fig. 6): the one commit — clock tick, the credits in
+  // consultation order, insertion. Insert (which registers the canonical
+  // key in the cache) runs strictly before the publish guard unregisters
+  // the in-flight record — see PublishGuard. An insertion that fills its
+  // shard's window runs the flush here, on this stream's thread and inside
+  // its query's time.
   if (!options_.enabled) return;
-  if (session.has_value()) {
-    commit_credits();
-    // Insert takes exclusive shard locks, which would self-deadlock
-    // against the session's shared locks.
-    session.reset();
+  cache_->RecordQueryProcessed();
+  for (const PendingCredit& credit : pending_credits) {
+    cache_->CreditHit(credit.hit, credit.removed, credit.cost);
   }
-  // Insert (which registers the canonical key in the cache) strictly before
-  // the publish guard unregisters the in-flight record — see PublishGuard.
-  // An insertion that fills its shard's window runs the flush here, on this
-  // stream's thread and inside its query's time.
   cache_->Insert(query, result->answer, canonical, features);
   publish.Publish(result->answer);
 }

@@ -190,16 +190,14 @@ class QueryEngine {
   /// engine's ServingOptions defaults; a request left unlimited behaves
   /// exactly like Process (bit-identical cache trajectory) and reports
   /// kCompleted. Exact hits bypass admission, so cache hits stay cheap
-  /// under overload. Every completed query commits once — query-clock tick,
-  /// §5.1 credits in consultation order, insertion — and a limited query
-  /// defers its commit to completion, so one stopped mid-pipeline commits
-  /// NOTHING and the cache stays bit-identical to an engine that never saw
-  /// the query; a stop during or after the prune stage degrades to a
-  /// cache-composed partial answer (§4.3 guaranteed set ∪ verified-so-far,
-  /// flagged kPartial, never cached) when
-  /// ServingOptions::degrade_to_partial is on. `collect_stats` fills
-  /// QueryResult::stats (same contract as Process's null-stats mode when
-  /// false).
+  /// under overload. Every completed query commits once, after
+  /// verification — query-clock tick, §5.1 credits in consultation order,
+  /// insertion — so one stopped mid-pipeline commits NOTHING and the cache
+  /// stays bit-identical to an engine that never saw the query; a stop
+  /// during or after the prune stage degrades to a cache-composed partial
+  /// answer (§4.3 guaranteed set ∪ verified-so-far, flagged kPartial, never
+  /// cached). `collect_stats` fills QueryResult::stats (same contract as
+  /// Process's null-stats mode when false).
   QueryResult ProcessWithBudget(const Graph& query,
                                 const serving::QueryRequest& request,
                                 bool collect_stats = false);
@@ -339,8 +337,8 @@ class QueryEngine {
   /// singleflight, host filter (here otherwise), probe + prune, verify,
   /// commit, with a stage checkpoint after each stage and the degradation
   /// ladder on a stop. `control` may be unlimited (never armed, as for
-  /// Process, or armed from an unlimited request): no checkpoint fires,
-  /// admission is skipped, and the commit is applied as the query goes.
+  /// Process, or armed from an unlimited request): no checkpoint fires and
+  /// admission is skipped.
   /// Fills `result`'s answer, outcome (except elapsed time), and — with
   /// `collect_stats` — stats.
   void Execute(const Graph& query, serving::QueryControl& control,

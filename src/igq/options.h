@@ -52,8 +52,8 @@ struct IgqOptions {
   ReplacementPolicy replacement_policy = ReplacementPolicy::kUtility;
 
   /// Query-lifecycle defaults (serving/budget.h, serving/admission.h). All
-  /// zeros / false = budgets and admission fully off: a query is then
-  /// unlimited unless its own request carries a budget or cancel flag.
+  /// zeros = budgets and admission fully off: a query is then unlimited
+  /// unless its own request carries a budget or cancel flag.
   struct ServingOptions {
     /// Default wall-clock deadline applied to budgeted queries that do not
     /// carry their own (ProcessWithBudget with a zero-deadline request).
@@ -73,12 +73,6 @@ struct IgqOptions {
     /// Bound on the admission queue; queries arriving beyond it are shed
     /// immediately with QueryOutcomeKind::kShed.
     size_t admission_max_waiters = 64;
-
-    /// Degradation ladder: when a budgeted query stops during or after the
-    /// prune stage, compose a partial answer from the cache facts gathered
-    /// so far (§4.3 guaranteed set + verified prefix) instead of rejecting.
-    /// The partial answer is flagged kPartial and never cached.
-    bool degrade_to_partial = true;
   };
   ServingOptions serving;
 };

@@ -18,13 +18,14 @@ std::shared_ptr<const ProbeData> MakeProbeData(
   return probe;
 }
 
-void ProbeIndex::Build(const std::vector<CachedQuery>& cached) {
+void ProbeIndex::Build(
+    const std::vector<std::shared_ptr<CachedQuery>>& cached) {
   index_ = FeatureCountIndex(index_.options());
   probes_.clear();
   probes_.reserve(cached.size());
   for (size_t i = 0; i < cached.size(); ++i) {
-    index_.AddGraph(static_cast<GraphId>(i), cached[i].probe->features);
-    probes_.push_back(cached[i].probe);
+    index_.AddGraph(static_cast<GraphId>(i), cached[i]->probe->features);
+    probes_.push_back(cached[i]->probe);
   }
 }
 

@@ -27,9 +27,8 @@
 namespace igq {
 
 /// What the probe index needs of one cached query graph. Immutable once
-/// built, so the entry, its staged copies and every index built over them
-/// share it, and probes may read it while a flush files it into a fresh
-/// index.
+/// built, so the entry and every index built over it share it, and probes
+/// may read it while a flush files it into a fresh index.
 struct ProbeData {
   /// The graph's path features, key-ascending (the trie's posting order).
   SortedPathFeatures features;
@@ -62,7 +61,7 @@ class ProbeIndex {
   /// data computed under this index's enumerator options. The index shares
   /// that data, so it does not refer to `cached` afterwards; its positions
   /// stay `cached`'s.
-  void Build(const std::vector<CachedQuery>& cached);
+  void Build(const std::vector<std::shared_ptr<CachedQuery>>& cached);
 
   /// Isub: positions (into the Build() vector) of cached queries G with
   /// query ⊆ G. `query_features` must use the same enumerator options.

@@ -74,10 +74,10 @@ class PruneScratch {
 /// index into the corresponding span — with the candidate ids that entry
 /// pruned (possibly none, always ascending); the span points into scratch
 /// storage and is only valid during the callback. The caller translates it
-/// into one ProbeSession::CreditHit per entry. Entries after an empty-answer
-/// shortcut are not consulted and earn no credit, exactly as before the
-/// IdSet rewrite. `credit` is a non-owning FunctionRef: a lambda bound at
-/// the call site is fine, it is only invoked during this call.
+/// into one ShardedQueryCache::CreditHit per entry. Entries after an
+/// empty-answer shortcut are not consulted and earn no credit, exactly as
+/// before the IdSet rewrite. `credit` is a non-owning FunctionRef: a lambda
+/// bound at the call site is fine, it is only invoked during this call.
 ///
 /// The returned reference points into `scratch` and is invalidated by the
 /// next PruneCandidates call on the same scratch.

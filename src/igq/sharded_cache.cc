@@ -145,27 +145,9 @@ PathFeatureCounts ShardedQueryCache::ExtractFeatures(const Graph& query) const {
   return CountPathFeatures(query, enumerator_options_);
 }
 
-ShardedQueryCache::ProbeSession::ProbeSession(ShardedQueryCache* owner)
-    : owner_(owner) {}
-
-const CachedQuery& ShardedQueryCache::ProbeSession::entry(
-    const Hit& hit) const {
-  return owner_->shards_[hit.shard]->entries[hit.position];
-}
-
-void ShardedQueryCache::ProbeSession::CreditHit(const Hit& hit,
-                                                uint64_t removed,
-                                                LogValue cost) const {
-  Shard& shard = *owner_->shards_[hit.shard];
-  std::lock_guard<std::mutex> credits(shard.credit_mutex);
-  shard.entries[hit.position].meta.Credit(
-      owner_->queries_processed_.load(std::memory_order_relaxed), removed,
-      cost);
-}
-
 ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
-    const Graph& query, const PathFeatureCounts& query_features) {
-  ProbeSession session(this);
+    const Graph& query, const PathFeatureCounts& query_features) const {
+  ProbeSession session;
   session.locks_.reserve(shards_.size());
   // Shared locks in shard order; writers hold at most one shard's exclusive
   // lock at a time, so no acquisition cycle exists.
@@ -182,12 +164,12 @@ ShardedQueryCache::ProbeSession ShardedQueryCache::Probe(
     shard.index.FindSupergraphsOf(query, query_features, &positions,
                                   &session.probe_iso_tests_);
     for (size_t position : positions) {
-      session.supergraph_hits_.push_back(Hit{s, position});
+      session.supergraph_hits_.push_back(Hit{s, shard.entries[position]});
     }
     shard.index.FindSubgraphsOf(query, query_features, &positions,
                                 &session.probe_iso_tests_);
     for (size_t position : positions) {
-      session.subgraph_hits_.push_back(Hit{s, position});
+      session.subgraph_hits_.push_back(Hit{s, shard.entries[position]});
     }
   }
   return session;
@@ -197,39 +179,30 @@ bool ShardedQueryCache::TryExactHit(
     const std::string& canonical,
     FunctionRef<Credit(std::span<const GraphId>)> credit_of,
     std::vector<GraphId>* answer) {
-  for (;;) {
-    CanonicalRef ref;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(canonical_mutex_);
-      const auto it = canonical_index_.find(canonical);
-      if (it == canonical_index_.end()) return false;
-      ref = it->second;
-    }
-    // The map lock is dropped before the shard lock is taken (lookups never
-    // hold both), so the copied ref is stale if a flush moved the entry
-    // between the two locks. That flush re-filed the key before releasing
-    // the shard lock this thread now holds, so reading the map again finds
-    // the entry (or its eviction).
-    Shard& shard = *shards_[ref.shard];
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    CachedQuery* record = nullptr;
-    if (ref.in_window) {
-      if (ref.index < shard.window.size()) record = &shard.window[ref.index];
-    } else if (ref.index < shard.entries.size()) {
-      record = &shard.entries[ref.index];
-    }
-    if (record == nullptr || record->id != ref.id) continue;
-    *answer = record->answer.ToVector();
-    const Credit credit = credit_of(*answer);
-    // The hit completes the query: tick its clock, then credit. The shared
-    // structure lock pins the record, the credit mutex serializes the
-    // update.
-    RecordQueryProcessed();
-    std::lock_guard<std::mutex> credits(shard.credit_mutex);
-    record->meta.Credit(queries_processed_.load(std::memory_order_relaxed),
-                        credit.removed, credit.cost);
-    return true;
+  Hit hit;
+  {
+    std::shared_lock<std::shared_mutex> map_lock(canonical_mutex_);
+    const auto it = canonical_index_.find(canonical);
+    if (it == canonical_index_.end()) return false;
+    hit = it->second;
   }
+  {
+    // Answers are patched in place under the exclusive shard lock.
+    std::shared_lock<std::shared_mutex> lock(shards_[hit.shard]->mutex);
+    *answer = hit.entry->answer.ToVector();
+  }
+  const Credit credit = credit_of(*answer);
+  // The hit completes the query: tick its clock, then credit.
+  RecordQueryProcessed();
+  CreditHit(hit, credit.removed, credit.cost);
+  return true;
+}
+
+void ShardedQueryCache::CreditHit(const Hit& hit, uint64_t removed,
+                                  LogValue cost) {
+  std::lock_guard<std::mutex> credits(shards_[hit.shard]->credit_mutex);
+  hit.entry->meta.Credit(queries_processed_.load(std::memory_order_relaxed),
+                         removed, cost);
 }
 
 void ShardedQueryCache::Insert(const Graph& query,
@@ -244,35 +217,34 @@ void ShardedQueryCache::Insert(const Graph& query, std::vector<GraphId> answer,
   const size_t shard_index =
       static_cast<size_t>(GraphShardHash(query) % shards_.size());
   Shard& shard = *shards_[shard_index];
-  // The entry's probe data — the only derivation it will ever get — is
-  // built before the exclusive section, which stays cheap.
-  std::shared_ptr<const ProbeData> probe = MakeProbeData(query, features);
+  // The entry — with its probe data, the only derivation it will ever get —
+  // is built before the exclusive section, which stays cheap.
+  auto record = std::make_shared<CachedQuery>();
+  record->graph = query;
+  record->canonical = std::move(canonical);
+  // Sortedness is detected in one pass (answers arrive sorted) and the
+  // representation picked adaptively.
+  record->answer = IdSet::FromIds(std::move(answer), universe_);
+  record->probe = MakeProbeData(query, features);
   bool flush_due = false;
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    // Register the key first, while the exclusive structure lock pins the
-    // window slot it names (lock order: shard.mutex -> canonical_mutex_). A
-    // registered key means an isomorph is cached or queued in some shard:
-    // drop this copy. Registering at once is also what closes the
-    // singleflight loop: the key becomes hittable the moment the leader
+    // Register the key first (lock order: shard.mutex -> canonical_mutex_;
+    // a lookup that finds it waits on this shard's lock until the entry is
+    // queued). A registered key means an isomorph is cached or queued in
+    // some shard: drop this copy. Registering at once is also what closes
+    // the singleflight loop: the key becomes hittable the moment the leader
     // inserts, before it publishes and unregisters.
-    CachedQuery record;
     {
       std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
-      const auto [slot, fresh] = canonical_index_.try_emplace(
-          canonical, CanonicalRef{shard_index, true, shard.window.size(), 0});
+      const auto [slot, fresh] =
+          canonical_index_.try_emplace(record->canonical);
       if (!fresh) return;
-      record.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-      slot->second.id = record.id;
+      slot->second = Hit{shard_index, record};
+      record->id = next_id_.fetch_add(1, std::memory_order_relaxed);
     }
-    record.graph = query;
-    record.canonical = std::move(canonical);
-    // Sortedness is detected in one pass (answers arrive sorted) and the
-    // representation picked adaptively.
-    record.answer = IdSet::FromIds(std::move(answer), universe_);
-    record.meta.inserted_at =
+    record->meta.inserted_at =
         queries_processed_.load(std::memory_order_relaxed);
-    record.probe = std::move(probe);
     shard.window.push_back(std::move(record));
     flush_due = shard.window.size() >= shard_window_;
   }
@@ -294,8 +266,7 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
   for (;;) {
     Timer timer;
     size_t take = 0;
-    std::vector<size_t> survivor_from;
-    std::vector<CachedQuery> staged;
+    std::vector<std::shared_ptr<CachedQuery>> staged, victims;
     const uint64_t now = queries_processed_.load(std::memory_order_relaxed);
     {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
@@ -307,13 +278,12 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       if (take == 0 || (!force && shard.window.size() < shard_window_)) {
         return;
       }
-      const std::vector<CachedQuery>& entries = shard.entries;
+      const std::vector<std::shared_ptr<CachedQuery>>& entries = shard.entries;
 
       // Eviction (§5.1) over a frozen metadata snapshot (the credit mutex
-      // blocks H/R/C updates while victims are chosen and copied). The
-      // incoming window always enters so fresh queries get a chance to
-      // accumulate utility; only pre-existing entries compete, lowest
-      // EvictionScore first.
+      // blocks H/R/C updates while victims are chosen). The incoming window
+      // always enters so fresh queries get a chance to accumulate utility;
+      // only pre-existing entries compete, lowest EvictionScore first.
       std::lock_guard<std::mutex> credits(shard.credit_mutex);
       const size_t target_old =
           shard_capacity_ > take ? shard_capacity_ - take : 0;
@@ -325,20 +295,17 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
         std::stable_sort(
             order.begin(), order.end(), [&](size_t a, size_t b) {
               const double sa = EvictionScore(options_.replacement_policy,
-                                              entries[a], now);
+                                              *entries[a], now);
               const double sb = EvictionScore(options_.replacement_policy,
-                                              entries[b], now);
+                                              *entries[b], now);
               if (sa != sb) return sa < sb;
-              return entries[a].id < entries[b].id;  // older first
+              return entries[a]->id < entries[b]->id;  // older first
             });
         for (size_t i = 0; i < evict; ++i) evicted[order[i]] = true;
       }
       staged.reserve(entries.size() + take);
       for (size_t i = 0; i < entries.size(); ++i) {
-        if (!evicted[i]) {
-          survivor_from.push_back(i);
-          staged.push_back(entries[i]);
-        }
+        (evicted[i] ? victims : staged).push_back(entries[i]);
       }
       staged.insert(staged.end(), shard.window.begin(),
                     shard.window.begin() + static_cast<ptrdiff_t>(take));
@@ -346,65 +313,36 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
 
     // Shadow rebuild (§5.2) with no structure lock held: probes keep
     // running against the old entries/index while the fresh index files
-    // the staged entries' stored features. Survivors share their probe
-    // data with the live copies, so nothing is re-derived.
+    // the staged entries' stored features. Only this (gated) path
+    // restructures `entries`, and Insert only appends to the window, so the
+    // staged pointers are still the shard's when the swap below runs.
     ProbeIndex fresh_index(enumerator_options_);
     fresh_index.Build(staged);
 
     bool more = false;
     {
       std::unique_lock<std::shared_mutex> lock(shard.mutex);
-      // Credits landed on the old entries while the rebuild ran; carry the
-      // freshest metadata over to the surviving copies. Positions are
-      // stable: only this (gated) path restructures entries. Window slots
-      // need the same carry-over since the canonical fast path can credit
-      // entries that are still in the window.
-      for (size_t i = 0; i < survivor_from.size(); ++i) {
-        staged[i].meta = shard.entries[survivor_from[i]].meta;
-      }
-      for (size_t i = 0; i < take; ++i) {
-        staged[survivor_from.size() + i].meta = shard.window[i].meta;
-      }
       shard.entries = std::move(staged);
       shard.window.erase(shard.window.begin(),
                          shard.window.begin() + static_cast<ptrdiff_t>(take));
       shard.index = std::move(fresh_index);
-      // Evictions, window promotions, and the window shift above all moved
-      // canonical keys around; rewrite this shard's slice of the map while
-      // the exclusive lock still blocks lookups from chasing dead refs.
-      ReindexShardCanonicals(shard_index);
+      // A victim's key goes only where the map names that victim (a key
+      // held by an isomorph from an older snapshot stays).
+      {
+        std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
+        for (const std::shared_ptr<CachedQuery>& victim : victims) {
+          const auto it = canonical_index_.find(victim->canonical);
+          if (it != canonical_index_.end() && it->second.entry == victim) {
+            canonical_index_.erase(it);
+          }
+        }
+      }
       more = shard.window.size() >= shard_window_ ||
              (force && !shard.window.empty());
     }
     maintenance_micros_.fetch_add(timer.ElapsedMicros(),
                                   std::memory_order_relaxed);
     if (!more) return;
-  }
-}
-
-void ShardedQueryCache::ReindexShardCanonicals(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
-  for (auto it = canonical_index_.begin(); it != canonical_index_.end();) {
-    if (it->second.shard == shard_index) {
-      it = canonical_index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Flushed entries before window, so within the shard the flushed copy of
-  // a key wins. Keys owned by other shards are left alone (try_emplace):
-  // first registration wins across shards.
-  const std::vector<CachedQuery>& entries = shard.entries;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    canonical_index_.try_emplace(entries[i].canonical,
-                                 CanonicalRef{shard_index, false, i,
-                                              entries[i].id});
-  }
-  for (size_t i = 0; i < shard.window.size(); ++i) {
-    canonical_index_.try_emplace(shard.window[i].canonical,
-                                 CanonicalRef{shard_index, true, i,
-                                              shard.window[i].id});
   }
 }
 
@@ -424,7 +362,7 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
   std::vector<size_t> affected;
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    std::vector<CachedQuery>& entries = shard->entries;
+    const std::vector<std::shared_ptr<CachedQuery>>& entries = shard->entries;
     // The probe index verifies containment with PlanContains, so its
     // results are exact relationships, not candidates.
     if (subgraph) {
@@ -434,7 +372,7 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
     }
     std::vector<uint8_t> gains(entries.size(), 0);
     for (size_t position : affected) gains[position] = 1;
-    for (size_t i = 0; i < entries.size(); ++i) repatch(entries[i], gains[i]);
+    for (size_t i = 0; i < entries.size(); ++i) repatch(*entries[i], gains[i]);
 
     // Window entries are invisible to the probe index until their flush;
     // test them directly: q ⊆ graph (subgraph: the entry's stored plan
@@ -450,7 +388,8 @@ void ShardedQueryCache::ApplyGraphAdded(const Graph& graph, GraphId id,
     } else {
       added_plan.Compile(graph);
     }
-    for (CachedQuery& queued : shard->window) {
+    for (const std::shared_ptr<CachedQuery>& record : shard->window) {
+      CachedQuery& queued = *record;
       const Graph& pattern = subgraph ? queued.graph : graph;
       const Graph& target = subgraph ? graph : queued.graph;
       bool gains_id = pattern.NumVertices() <= target.NumVertices() &&
@@ -475,8 +414,8 @@ void ShardedQueryCache::ApplyGraphRemoved(GraphId id) {
   };
   for (const auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    for (CachedQuery& record : shard->entries) drop(record);
-    for (CachedQuery& record : shard->window) drop(record);
+    for (const auto& record : shard->entries) drop(*record);
+    for (const auto& record : shard->window) drop(*record);
   }
 }
 
@@ -509,18 +448,18 @@ size_t ShardedQueryCache::MemoryBytes() const {
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
     bytes += sizeof(Shard) + shard->index.MemoryBytes();
-    for (const CachedQuery& record : shard->entries) {
-      bytes += record.graph.MemoryBytes();
-      bytes += record.answer.MemoryBytes();
-      bytes += record.canonical.capacity();
+    for (const auto& record : shard->entries) {
+      bytes += record->graph.MemoryBytes();
+      bytes += record->answer.MemoryBytes();
+      bytes += record->canonical.capacity();
       bytes += sizeof(CachedQuery);
     }
   }
   {
     std::shared_lock<std::shared_mutex> map_lock(canonical_mutex_);
     bytes += canonical_index_.size() *
-             (sizeof(std::pair<std::string, CanonicalRef>) + sizeof(void*));
-    for (const auto& [key, ref] : canonical_index_) bytes += key.capacity();
+             (sizeof(std::pair<std::string, Hit>) + sizeof(void*));
+    for (const auto& [key, hit] : canonical_index_) bytes += key.capacity();
   }
   return bytes;
 }
@@ -530,8 +469,8 @@ std::vector<CachedQuery> ShardedQueryCache::Entries() const {
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
     std::lock_guard<std::mutex> credits(shard->credit_mutex);
-    copies.insert(copies.end(), shard->entries.begin(), shard->entries.end());
-    copies.insert(copies.end(), shard->window.begin(), shard->window.end());
+    for (const auto& record : shard->entries) copies.push_back(*record);
+    for (const auto& record : shard->window) copies.push_back(*record);
   }
   return copies;
 }
@@ -558,13 +497,9 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> credits(shard->credit_mutex);
     writer.WriteU64(shard->entries.size());
-    for (const CachedQuery& record : shard->entries) {
-      SaveCachedQuery(writer, record);
-    }
+    for (const auto& record : shard->entries) SaveCachedQuery(writer, *record);
     writer.WriteU64(shard->window.size());
-    for (const CachedQuery& record : shard->window) {
-      SaveCachedQuery(writer, record);
-    }
+    for (const auto& record : shard->window) SaveCachedQuery(writer, *record);
   }
 }
 
@@ -619,65 +554,54 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
   // Decode every shard fully before touching live state, so malformed
   // input leaves this cache unchanged.
   struct StagedShard {
-    std::vector<CachedQuery> entries;
-    std::vector<CachedQuery> window;
+    std::vector<std::shared_ptr<CachedQuery>> entries;
+    std::vector<std::shared_ptr<CachedQuery>> window;
   };
   std::vector<StagedShard> staged(shards_.size());
   for (StagedShard& stage : staged) {
-    uint64_t num_entries = 0;
-    if (!reader.ReadU64(&num_entries)) return false;
-    stage.entries.reserve(
-        static_cast<size_t>(std::min<uint64_t>(num_entries, 1024)));
-    for (uint64_t i = 0; i < num_entries; ++i) {
-      CachedQuery record;
-      if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
-        return false;
+    for (std::vector<std::shared_ptr<CachedQuery>>* records :
+         {&stage.entries, &stage.window}) {
+      uint64_t count = 0;
+      if (!reader.ReadU64(&count)) return false;
+      records->reserve(static_cast<size_t>(std::min<uint64_t>(count, 1024)));
+      for (uint64_t i = 0; i < count; ++i) {
+        auto record = std::make_shared<CachedQuery>();
+        if (!LoadCachedQuery(reader, record.get(), num_graphs,
+                             with_canonical)) {
+          return false;
+        }
+        records->push_back(std::move(record));
       }
-      stage.entries.push_back(std::move(record));
-    }
-    uint64_t num_window = 0;
-    if (!reader.ReadU64(&num_window)) return false;
-    stage.window.reserve(
-        static_cast<size_t>(std::min<uint64_t>(num_window, 1024)));
-    for (uint64_t i = 0; i < num_window; ++i) {
-      CachedQuery record;
-      if (!LoadCachedQuery(reader, &record, num_graphs, with_canonical)) {
-        return false;
-      }
-      stage.window.push_back(std::move(record));
     }
   }
 
-  // Derive every record's probe data (it is not persisted), then commit
-  // and shadow-rebuild each shard's probe index (§5.2). Load requires
-  // quiescence; the exclusive locks below only keep stragglers correct.
+  // Derive every record's probe data (it is not persisted), shadow-rebuild
+  // each shard's probe index (§5.2), and register every key — the map is
+  // derived data too — in shard order, flushed before window, the first
+  // copy of a key winning. Load requires quiescence; the locks below only
+  // keep stragglers correct.
   Timer timer;
+  std::unordered_map<std::string, Hit> canonical_index;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    for (std::vector<CachedQuery>* records :
+    for (std::vector<std::shared_ptr<CachedQuery>>* records :
          {&staged[s].entries, &staged[s].window}) {
-      for (CachedQuery& record : *records) {
-        record.probe =
-            MakeProbeData(record.graph, ExtractFeatures(record.graph));
+      for (const std::shared_ptr<CachedQuery>& record : *records) {
+        record->probe =
+            MakeProbeData(record->graph, ExtractFeatures(record->graph));
+        canonical_index.try_emplace(record->canonical, Hit{s, record});
       }
     }
     ProbeIndex fresh_index(enumerator_options_);
     fresh_index.Build(staged[s].entries);
+    Shard& shard = *shards_[s];
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     shard.entries = std::move(staged[s].entries);
     shard.window = std::move(staged[s].window);
     shard.index = std::move(fresh_index);
   }
-  // Rebuild the canonical map wholesale — it is derived data, like the
-  // probe index. Shard locks are taken one at a time in shard order, so
-  // the rebuild obeys the shard.mutex -> canonical_mutex_ lock order.
   {
     std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
-    canonical_index_.clear();
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::unique_lock<std::shared_mutex> lock(shards_[s]->mutex);
-    ReindexShardCanonicals(s);
+    canonical_index_ = std::move(canonical_index);
   }
   queries_processed_.store(queries_processed);
   next_id_.store(next_id);

@@ -10,23 +10,28 @@
 // and duplicates (Insert drops a query whose key is registered), so an
 // isomorph is cached or queued at most once across all shards.
 //
+// Address: each cached query is one heap object, shared-owned from Insert
+// (or Load) until its eviction. The shard's entries and window, the key
+// map and every probe Hit point at that object, so a flush moves pointers,
+// a §5.1 credit lands on the object wherever it sits, and no reference to
+// an entry ever goes stale.
+//
 // Concurrency design (docs/CONCURRENCY.md has the full model):
 //
 //   * Every shard guards its entries/window/index with a reader–writer
 //     lock. Probes take shared locks on all shards, so any number of
 //     streams probe simultaneously; they block only for the microseconds a
 //     flush needs to swap freshly built state in.
-//   * Metadata credits (§5.1 H/R/C updates) happen under the shared lock
-//     plus a tiny per-shard credit mutex, so probing is never serialized by
-//     bookkeeping.
+//   * Metadata credits (§5.1 H/R/C updates) take only a tiny per-shard
+//     credit mutex, so probing is never serialized by bookkeeping.
 //   * Maintenance (window flush: §5.1 eviction + §5.2 shadow rebuild) is a
 //     deferred single-writer path, run on the thread whose Insert filled the
-//     window. It copies the survivors and the window slice into a staged
-//     vector and files their stored features (each entry's ProbeData, built
-//     once at Insert or Load; nothing is derived at a flush) into a fresh
-//     probe index outside any structure lock, then swaps the new state in
-//     under a brief exclusive lock. Readers never wait on eviction or index
-//     building — only on the swap.
+//     window. It stages the survivors' and the window slice's pointers and
+//     files their stored features (each entry's ProbeData, built once at
+//     Insert or Load; nothing is derived at a flush) into a fresh probe
+//     index outside any structure lock, then swaps the new state in and
+//     unregisters the victims' keys under a brief exclusive lock. Readers
+//     never wait on eviction or index building — only on the swap.
 //
 // Equivalence: any cache content yields exact answers (pruning only uses
 // verified containment facts), so ConcurrentQueryEngine answers match the
@@ -73,12 +78,13 @@ uint64_t GraphShardHash(const Graph& graph);
 /// noted; Load and the destructor require external quiescence.
 class ShardedQueryCache {
  public:
-  /// A cached entry's address: which shard and its position in that shard's
-  /// flushed entries. Valid only while the ProbeSession that produced it is
-  /// alive (its shared locks pin the shard state).
+  /// A cached entry and the shard that holds it. The pointer keeps the
+  /// entry alive, so a hit stays valid after its session is gone and after
+  /// the entry's eviction; read the entry only while the session that
+  /// produced the hit lives, and credit it through CreditHit.
   struct Hit {
     size_t shard = 0;
-    size_t position = 0;
+    std::shared_ptr<CachedQuery> entry;
   };
 
   /// The R/C part of a §5.1 credit: candidates removed and the analytic
@@ -90,9 +96,8 @@ class ShardedQueryCache {
 
   /// Result of probing all shards, holding a shared lock on each until
   /// destroyed. Engines keep the session alive through candidate pruning
-  /// (entries are read in place, nothing is copied) and until their §5.1
-  /// credits commit; an unlimited concurrent query commits before
-  /// verification, the long stage, and releases the session then. Shared
+  /// (entries are read in place, nothing is copied) and drop it before
+  /// verification, the long stage; the hits they credit outlive it. Shared
   /// locks never block other sessions — only a flush's final swap and
   /// Insert wait for them.
   class ProbeSession {
@@ -108,19 +113,10 @@ class ShardedQueryCache {
     /// VF2 tests run against cached graphs during the probe.
     size_t probe_iso_tests() const { return probe_iso_tests_; }
 
-    const CachedQuery& entry(const Hit& hit) const;
-
-    /// The §5.1 credit for one consulted entry (QueryGraphMetadata::Credit:
-    /// H += 1, R += removed, C += cost). Safe from concurrent sessions:
-    /// serialized per shard by the credit mutex, and excluded from flush
-    /// swaps by this session's shared lock.
-    void CreditHit(const Hit& hit, uint64_t removed, LogValue cost) const;
-
    private:
     friend class ShardedQueryCache;
-    explicit ProbeSession(ShardedQueryCache* owner);
+    ProbeSession() = default;
 
-    ShardedQueryCache* owner_;
     std::vector<std::shared_lock<std::shared_mutex>> locks_;
     std::vector<Hit> supergraph_hits_;
     std::vector<Hit> subgraph_hits_;
@@ -143,9 +139,8 @@ class ShardedQueryCache {
   /// queries across all shards. Window (Itemp) entries stay invisible until
   /// their flush, as in the paper. The returned session holds shared locks —
   /// destroy it before any call that needs exclusive access on this thread.
-  /// (Non-const because sessions credit §5.1 metadata through it.)
   ProbeSession Probe(const Graph& query,
-                     const PathFeatureCounts& query_features);
+                     const PathFeatureCounts& query_features) const;
 
   /// Exact-hit fast path (§4.3): if `canonical` resolves to a cached entry —
   /// flushed or still in a window, in any shard — copies its answer into
@@ -155,17 +150,23 @@ class ShardedQueryCache {
   /// nothing.
   /// One global hash lookup plus one shared shard lock; no feature
   /// extraction, no probe, no isomorphism test. `credit_of` is invoked at
-  /// most once, with the answer ids, while the entry is pinned — lazily, so
-  /// a miss pays nothing for the cost model.
+  /// most once, with the answer ids — lazily, so a miss pays nothing for
+  /// the cost model.
   ///
-  /// Never misses a cached key. Window entries are hittable because Insert
-  /// registers the key at once: that is what makes singleflight coalescing
-  /// exact. When a flush moved the entry between the map read and the
-  /// shard lock, the map is read again: that flush re-filed the key before
-  /// releasing the shard lock.
+  /// Never misses a cached key: Insert registers the key at once, so window
+  /// entries are hittable too (that is what makes singleflight coalescing
+  /// exact), and the map names the entry itself, which a flush does not
+  /// move. An entry evicted after the map read still answers (the engines'
+  /// writer gate keeps its answer exact) and takes its credit with it.
   bool TryExactHit(const std::string& canonical,
                    FunctionRef<Credit(std::span<const GraphId>)> credit_of,
                    std::vector<GraphId>* answer);
+
+  /// The §5.1 credit for one consulted entry (QueryGraphMetadata::Credit:
+  /// H += 1, R += removed, C += cost). Takes only the shard's credit mutex,
+  /// so it needs no probe session; an entry evicted since its probe keeps
+  /// the credit to itself.
+  void CreditHit(const Hit& hit, uint64_t removed, LogValue cost);
 
   /// Advances the global query counter (the denominator clock for M(g)).
   void RecordQueryProcessed() { ++queries_processed_; }
@@ -265,28 +266,17 @@ class ShardedQueryCache {
     /// Structure lock: entries/window/index. Shared for probes, exclusive
     /// for Insert appends and the flush swap.
     mutable std::shared_mutex mutex;
-    /// Serializes §5.1 metadata credits, which happen under the *shared*
-    /// structure lock (two sessions may credit the same entry at once).
+    /// Guards the §5.1 metadata of the shard's entries, also of entries
+    /// this shard has evicted while a hit still holds them. A leaf lock.
     mutable std::mutex credit_mutex;
     /// Single-writer gate for the deferred flush; taken before any
     /// structure lock on the same shard.
     std::mutex maintenance_mutex;
 
-    std::vector<CachedQuery> entries;
-    std::vector<CachedQuery> window;  // Itemp slice
+    std::vector<std::shared_ptr<CachedQuery>> entries;
+    std::vector<std::shared_ptr<CachedQuery>> window;  // Itemp slice
     /// Isub + Isuper over `entries`, by position; rebuilt at every flush.
     ProbeIndex index;
-  };
-
-  /// Where a canonical key's entry lives. Refs are validated on use (bounds
-  /// + id match) because a reader copies the ref, drops the map lock, and
-  /// only then locks the shard — a flush may have moved the entry in
-  /// between (the lookup then reads the map again).
-  struct CanonicalRef {
-    size_t shard = 0;
-    bool in_window = false;
-    size_t index = 0;   // into entries (flushed) or window
-    uint64_t id = 0;    // CachedQuery::id, the staleness check
   };
 
   /// The deferred flush: integrates `shard`'s window when due (always, if
@@ -294,28 +284,22 @@ class ShardedQueryCache {
   /// when another thread holds it.
   void MaintainShard(size_t shard_index, bool force, bool wait);
 
-  /// Rewrites canonical_index_ for one shard: drops every ref pointing into
-  /// it, then re-registers its entries (first) and window (second), so
-  /// within a shard the flushed copy of a key wins. Caller holds the shard's
-  /// structure lock exclusively; takes canonical_mutex_ exclusively (the
-  /// one place both are held together — lock order shard.mutex →
-  /// canonical_mutex_, and lookups never hold both).
-  void ReindexShardCanonicals(size_t shard_index);
-
   IgqOptions options_;
   size_t universe_ = 0;  // dataset size the answers index
   PathEnumeratorOptions enumerator_options_;
   size_t shard_capacity_ = 1;
   size_t shard_window_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// canonical code -> entry location, across ALL shards: the cache's one
-  /// record of which queries it holds. Global because the shard hash is
-  /// structural, not isomorphism-invariant: two isomorphic copies of a
-  /// query generally land in different shards, so a per-shard map could
-  /// not answer "is an isomorph cached anywhere?" in one lookup. Insert
-  /// keeps keys unique; only a snapshot from an older build can hold two
-  /// isomorphs, and then the first registered copy wins.
-  std::unordered_map<std::string, CanonicalRef> canonical_index_;
+  /// canonical code -> entry, across ALL shards: the cache's one record of
+  /// which queries it holds. Global because the shard hash is structural,
+  /// not isomorphism-invariant: two isomorphic copies of a query generally
+  /// land in different shards, so a per-shard map could not answer "is an
+  /// isomorph cached anywhere?" in one lookup. Insert keeps keys unique;
+  /// only a snapshot from an older build can hold two isomorphs, and then
+  /// the first registered copy owns the key until its eviction. Lock
+  /// order: a shard's `mutex` before this map's lock; lookups take the map
+  /// lock alone.
+  std::unordered_map<std::string, Hit> canonical_index_;
   mutable std::shared_mutex canonical_mutex_;
   std::atomic<uint64_t> queries_processed_{0};
   std::atomic<uint64_t> next_id_{0};

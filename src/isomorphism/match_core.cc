@@ -93,12 +93,6 @@ bool MatchContext::BudgetCheckpoint() {
   return search_stopped_;
 }
 
-bool MatchContext::EmbeddingCheckpoint() {
-  if (search_stopped_) return true;
-  search_stopped_ = control_->ChargeEmbedding();
-  return search_stopped_;
-}
-
 bool ContainsIn(const MatchPlan& plan, const Graph& target, MatchContext& ctx,
                 MatchStats* stats) {
   if (plan.empty()) return true;

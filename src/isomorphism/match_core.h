@@ -255,13 +255,6 @@ class MatchContext {
     return BudgetCheckpoint();
   }
 
-  /// Per-embedding tick for the embedding-count cap (only when a control is
-  /// installed; no clock read).
-  bool TickEmbedding() {
-    if (control_ == nullptr) return false;
-    return EmbeddingCheckpoint();
-  }
-
   /// True when the current search was unwound by a budget stop rather than
   /// by the visitor. While a stopped control is installed, every search
   /// result on this thread is garbage — see serving::QueryControl.
@@ -272,8 +265,7 @@ class MatchContext {
   friend class ScopedAllowed;
   friend class ScopedSearchControl;
 
-  bool BudgetCheckpoint();     // out-of-line: charges states, polls control
-  bool EmbeddingCheckpoint();  // out-of-line: charges one embedding
+  bool BudgetCheckpoint();  // out-of-line: charges states, polls control
 
   void BumpUsedNeighbors(VertexId x, int32_t delta) {
     if (used_neighbor_epoch_[x] != epoch_) {
@@ -448,7 +440,6 @@ class Searcher {
     if (ctx_.TickBudget()) return false;
     if (depth == plan_.num_vertices()) {
       if (stats_ != nullptr) ++stats_->embeddings;
-      if (ctx_.TickEmbedding()) return false;
       return visit_(ctx_.mapping());
     }
     const VertexId parent = plan_.parent_of(depth);

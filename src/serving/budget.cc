@@ -13,8 +13,6 @@ const char* StopReasonName(StopReason reason) {
       return "deadline";
     case StopReason::kStateCap:
       return "state_cap";
-    case StopReason::kEmbeddingCap:
-      return "embedding_cap";
     case StopReason::kMemoryCap:
       return "memory_cap";
   }
@@ -96,28 +94,12 @@ bool QueryControl::CheckNow() {
     Latch(StopReason::kStateCap);
     return true;
   }
-  if (budget_.max_embeddings != 0 &&
-      embeddings_.load(std::memory_order_relaxed) > budget_.max_embeddings) {
-    Latch(StopReason::kEmbeddingCap);
-    return true;
-  }
   return false;
 }
 
 bool QueryControl::ChargeStates(uint64_t states) {
   states_.fetch_add(states, std::memory_order_relaxed);
   return CheckNow();
-}
-
-bool QueryControl::ChargeEmbedding() {
-  const uint64_t count =
-      embeddings_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Strictly-greater: with cap K exactly K embeddings reach the visitor.
-  if (budget_.max_embeddings != 0 && count > budget_.max_embeddings) {
-    Latch(StopReason::kEmbeddingCap);
-    return true;
-  }
-  return stopped();
 }
 
 int64_t QueryControl::ElapsedMicros() const {

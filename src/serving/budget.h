@@ -1,5 +1,5 @@
 // Query lifecycle control: per-query budgets (wall-clock deadline,
-// recursion-state / embedding / candidate-memory caps), cooperative
+// recursion-state and candidate-memory caps), cooperative
 // cancellation, and the typed QueryOutcome the engines surface for every
 // query — completed, partial (degradation ladder), deadline_expired, shed,
 // or cancelled. See docs/CONCURRENCY.md "Cancellation protocol" and
@@ -31,7 +31,6 @@ enum class StopReason : uint8_t {
   kCancelled,     // external CancelSource flag was set
   kDeadline,      // wall-clock deadline passed
   kStateCap,      // recursion-state cap exhausted
-  kEmbeddingCap,  // embedding-count cap exhausted
   kMemoryCap,     // candidate-set cap exceeded (post-filter)
 };
 
@@ -77,16 +76,12 @@ struct QueryBudget {
   /// kBudgetCheckInterval states, so the effective cap is rounded up to the
   /// polling interval. 0 = unlimited.
   uint64_t max_states = 0;
-  /// Cap on embeddings enumerated (only enumeration visitors reach it;
-  /// boolean containment stops at the first embedding). 0 = unlimited.
-  uint64_t max_embeddings = 0;
   /// Cap on the post-filter candidate-set size — the query's dominant memory
   /// driver. 0 = unlimited.
   size_t max_candidates = 0;
 
   bool Unlimited() const {
-    return deadline_micros == 0 && max_states == 0 && max_embeddings == 0 &&
-           max_candidates == 0;
+    return deadline_micros == 0 && max_states == 0 && max_candidates == 0;
   }
 };
 
@@ -123,10 +118,10 @@ class QueryControl {
   void Arm(const QueryBudget& budget, const std::atomic<bool>* cancel);
 
   /// True when any limit or the cancel flag is active. The engines run one
-  /// pipeline either way, but hand the control to the searches, admission,
-  /// and the commit deferral only when it is limited: an unlimited query
-  /// commits as it goes, and its stage checkpoints are branches that never
-  /// fire. A never-armed control is unlimited.
+  /// pipeline either way, but hand the control to the searches and
+  /// admission only when it is limited: an unlimited query's stage
+  /// checkpoints are branches that never fire. A never-armed control is
+  /// unlimited.
   bool limited() const { return limited_; }
 
   bool has_deadline() const { return has_deadline_; }
@@ -166,10 +161,6 @@ class QueryControl {
   /// states per searching thread).
   bool ChargeStates(uint64_t states);
 
-  /// Charges one enumerated embedding and checks only the embedding cap —
-  /// no clock read, cheap enough per embedding.
-  bool ChargeEmbedding();
-
   /// Post-filter memory-cap check: latches kMemoryCap when the candidate
   /// set exceeds the budget's max_candidates. Returns stopped().
   bool ChargeCandidates(size_t count) {
@@ -194,7 +185,6 @@ class QueryControl {
   bool limited_ = false;
   bool has_deadline_ = false;
   std::atomic<uint64_t> states_{0};
-  std::atomic<uint64_t> embeddings_{0};
   /// reason (low byte) | stage-at-stop (next byte); 0 = running. A single
   /// word so the first Latch wins atomically and readers see a consistent
   /// (reason, stage) pair.

@@ -72,7 +72,7 @@ TEST(QueryCacheTest, ProbeSeesOnlyFlushedEntries) {
   cache.Insert(PathGraph({8, 9}), {});  // triggers flush
   auto probe = cache.Probe(small, cache.ExtractFeatures(small));
   ASSERT_EQ(probe.supergraph_hits().size(), 1u);
-  EXPECT_EQ(probe.entry(probe.supergraph_hits()[0]).graph, big);
+  EXPECT_EQ(probe.supergraph_hits()[0].entry->graph, big);
 }
 
 TEST(QueryCacheTest, ProbeFindsSubgraphsToo) {
@@ -92,10 +92,10 @@ void ExpectCachedCopyOnBothSides(ShardedQueryCache& cache, const Graph& query,
   auto probe = cache.Probe(query, cache.ExtractFeatures(query));
   const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(probe, query);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(probe.entry(*hit).graph, cached);
+  EXPECT_EQ(hit->entry->graph, cached);
   ASSERT_EQ(probe.supergraph_hits().size(), 1u);
   ASSERT_EQ(probe.subgraph_hits().size(), 1u);
-  EXPECT_EQ(probe.entry(probe.subgraph_hits()[0]).graph, cached);
+  EXPECT_EQ(probe.subgraph_hits()[0].entry->graph, cached);
 }
 
 TEST(QueryCacheTest, ExactMatchDetected) {
@@ -145,7 +145,7 @@ TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
     auto probe = cache.Probe(b, cache.ExtractFeatures(b));
     const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(probe, b);
     ASSERT_TRUE(hit.has_value());
-    probe.CreditHit(*hit, 5, LogValue::FromLinear(1e6));
+    cache.CreditHit(*hit, 5, LogValue::FromLinear(1e6));
   }
 
   // Insert c: capacity 2 forces one eviction; it must be `a`.
@@ -161,6 +161,46 @@ TEST(QueryCacheTest, LowestUtilityEvictedFirst) {
   EXPECT_FALSE(has_a);
   EXPECT_TRUE(has_b);
   EXPECT_TRUE(has_c);
+
+  // The eviction unregistered `a`'s key and only that key, so `a` can be
+  // cached again (its flush then evicts zero-utility `c`).
+  std::vector<GraphId> answer;
+  EXPECT_FALSE(ExactHit(cache, a, &answer));
+  EXPECT_TRUE(ExactHit(cache, b, &answer));
+  cache.Insert(a, {});
+  EXPECT_TRUE(ExactHit(cache, a, &answer));
+  has_a = false;
+  for (const CachedQuery& entry : cache.Entries()) has_a |= entry.graph == a;
+  EXPECT_TRUE(has_a);
+}
+
+TEST(QueryCacheTest, CreditToAnEvictedEntryStaysWithIt) {
+  // A hit outlives its probe session and its entry's eviction: crediting
+  // it then touches only the evicted entry, which the hit keeps alive.
+  ShardedQueryCache cache(SmallOptions(1, 1));
+  const Graph a = PathGraph({1, 1});
+  cache.Insert(a, {});
+  std::optional<ShardedQueryCache::Hit> hit;
+  {
+    auto probe = cache.Probe(a, cache.ExtractFeatures(a));
+    hit = IsomorphHit(probe, a);
+  }
+  ASSERT_TRUE(hit.has_value());
+  const Graph b = PathGraph({2, 2});
+  cache.Insert(b, {});  // capacity 1: evicts `a`
+  const std::vector<CachedQuery> before = cache.Entries();
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_EQ(before[0].graph, b);
+
+  cache.CreditHit(*hit, 7, LogValue::FromLinear(1e3));
+  EXPECT_EQ(hit->entry->meta.hits, 1u);
+  EXPECT_EQ(hit->entry->meta.removed_candidates, 7u);
+  const std::vector<CachedQuery> after = cache.Entries();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].meta.hits, before[0].meta.hits);
+  EXPECT_EQ(after[0].meta.removed_candidates,
+            before[0].meta.removed_candidates);
+  EXPECT_EQ(after[0].meta.cost_saved.log(), before[0].meta.cost_saved.log());
 }
 
 TEST(QueryCacheTest, TieBreakEvictsOlderEntry) {
@@ -454,7 +494,7 @@ TEST(QueryCacheTest, ProbeDataMatchesEnumeration) {
 
 TEST(QueryCacheTest, ProbeHitsMatchBruteForceAcrossFlushes) {
   // A one-shard cache under constant eviction. After every insert, a random
-  // probe's hits must be exactly the flushed positions whose graph contains
+  // probe's hits must be exactly the flushed entries whose graph contains
   // the query (supergraph_hits) or is contained in it (subgraph_hits), in
   // position order, each pair checked with VF2. A survivor whose probe data
   // went stale across a flush would break this.
@@ -478,18 +518,22 @@ TEST(QueryCacheTest, ProbeHitsMatchBruteForceAcrossFlushes) {
       // One shard: Entries() lists the flushed entries first, by position.
       const std::vector<CachedQuery> entries = cache.Entries();
       ASSERT_LE(cache.size(), 24u);
-      std::vector<size_t> expected_super, expected_sub;
+      std::vector<uint64_t> expected_super, expected_sub;
       for (size_t i = 0; i < cache.size(); ++i) {
-        if (vf2.Contains(query, entries[i].graph)) expected_super.push_back(i);
-        if (vf2.Contains(entries[i].graph, query)) expected_sub.push_back(i);
+        if (vf2.Contains(query, entries[i].graph)) {
+          expected_super.push_back(entries[i].id);
+        }
+        if (vf2.Contains(entries[i].graph, query)) {
+          expected_sub.push_back(entries[i].id);
+        }
       }
       const auto session = cache.Probe(query, cache.ExtractFeatures(query));
-      std::vector<size_t> got_super, got_sub;
+      std::vector<uint64_t> got_super, got_sub;
       for (const ShardedQueryCache::Hit& hit : session.supergraph_hits()) {
-        got_super.push_back(hit.position);
+        got_super.push_back(hit.entry->id);
       }
       for (const ShardedQueryCache::Hit& hit : session.subgraph_hits()) {
-        got_sub.push_back(hit.position);
+        got_sub.push_back(hit.entry->id);
       }
       ASSERT_EQ(got_super, expected_super) << "seed " << seed << ", step "
                                            << step;

@@ -147,7 +147,8 @@ TEST(ShardedCacheTest, CachedKeyNeverMissesAcrossFlushes) {
   // One writer inserts fresh graphs and publishes each key once Insert
   // returns; three readers look up the newest keys until the writer stops.
   // Nothing is evicted, so every lookup must hit, although flushes (one
-  // per 4 inserts into a shard) keep moving entries under the readers.
+  // per 4 inserts into a shard) keep moving entries under the readers. Each
+  // hit credits R += 1, and every credit must land on the cached entry.
   constexpr size_t kInserts = 300;
   for (size_t num_shards : {1u, 4u}) {
     IgqOptions options;
@@ -169,14 +170,14 @@ TEST(ShardedCacheTest, CachedKeyNeverMissesAcrossFlushes) {
     std::atomic<size_t> lookups{0}, misses{0};
     auto reader = [&] {
       std::vector<GraphId> answer;
-      auto no_credit = [](std::span<const GraphId>) {
-        return ShardedQueryCache::Credit{};
+      auto credit_one = [](std::span<const GraphId>) {
+        return ShardedQueryCache::Credit{1, LogValue::Zero()};
       };
       while (!done.load(std::memory_order_acquire)) {
         const size_t newest = published.load(std::memory_order_acquire);
         for (size_t i = newest > 8 ? newest - 8 : 0; i < newest; ++i) {
           lookups.fetch_add(1, std::memory_order_relaxed);
-          if (!cache.TryExactHit(keys[i], no_credit, &answer)) {
+          if (!cache.TryExactHit(keys[i], credit_one, &answer)) {
             misses.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -196,6 +197,13 @@ TEST(ShardedCacheTest, CachedKeyNeverMissesAcrossFlushes) {
     EXPECT_EQ(cache.window_fill() + cache.size(),
               std::unordered_set<std::string>(keys.begin(), keys.end())
                   .size());
+    uint64_t hits = 0, removed = 0;
+    for (const CachedQuery& entry : cache.Entries()) {
+      hits += entry.meta.hits;
+      removed += entry.meta.removed_candidates;
+    }
+    EXPECT_EQ(hits, lookups.load() - misses.load()) << num_shards;
+    EXPECT_EQ(removed, hits) << num_shards;
   }
 }
 
@@ -218,7 +226,7 @@ TEST(ShardedCacheTest, ProbeSeesFlushedEntriesOnly) {
     auto session = cache.Probe(g, cache.ExtractFeatures(g));
     const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, g);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(session.entry(*hit).answer.ToVector(), std::vector<GraphId>{0});
+    EXPECT_EQ(hit->entry->answer.ToVector(), std::vector<GraphId>{0});
   }
 }
 
@@ -674,7 +682,7 @@ TEST(ShardedCacheTest, RemovalPatchesFlushedAnswersAtOnce) {
     auto session = cache.Probe(a, cache.ExtractFeatures(a));
     const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, a);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(session.entry(*hit).answer.ToVector(),
+    EXPECT_EQ(hit->entry->answer.ToVector(),
               (std::vector<GraphId>{0, 5}));
   }
   const std::vector<CachedQuery> entries = cache.Entries();
@@ -703,7 +711,7 @@ TEST(ShardedCacheTest, AddedGraphJoinsFlushedAndWindowedAnswers) {
     auto session = cache.Probe(q, cache.ExtractFeatures(q));
     const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, q);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(session.entry(*hit).answer.ToVector(),
+    EXPECT_EQ(hit->entry->answer.ToVector(),
               (std::vector<GraphId>{0, 7}));
   }
 
@@ -717,7 +725,7 @@ TEST(ShardedCacheTest, AddedGraphJoinsFlushedAndWindowedAnswers) {
     auto session = cache.Probe(s, cache.ExtractFeatures(s));
     const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, s);
     ASSERT_TRUE(hit.has_value());
-    const std::vector<GraphId> answer = session.entry(*hit).answer.ToVector();
+    const std::vector<GraphId> answer = hit->entry->answer.ToVector();
     EXPECT_TRUE(std::find(answer.begin(), answer.end(), 9) != answer.end())
         << "window record missed the added graph";
   }
@@ -742,7 +750,7 @@ TEST(ShardedCacheTest, SupergraphDirectionPatchesContainedGraphs) {
   auto session = cache.Probe(q, cache.ExtractFeatures(q));
   const std::optional<ShardedQueryCache::Hit> hit = IsomorphHit(session, q);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(session.entry(*hit).answer.ToVector(),
+  EXPECT_EQ(hit->entry->answer.ToVector(),
             (std::vector<GraphId>{0, 5}));
 }
 

@@ -183,18 +183,6 @@ TEST(QueryControlTest, DeadlineLatchesWithStageAndStaysSticky) {
   EXPECT_EQ(control.reason(), StopReason::kDeadline);
 }
 
-TEST(QueryControlTest, EmbeddingCapDeliversExactlyK) {
-  QueryControl control;
-  QueryBudget budget;
-  budget.max_embeddings = 3;
-  control.Arm(budget, nullptr);
-  EXPECT_FALSE(control.ChargeEmbedding());
-  EXPECT_FALSE(control.ChargeEmbedding());
-  EXPECT_FALSE(control.ChargeEmbedding());  // the 3rd embedding still lands
-  EXPECT_TRUE(control.ChargeEmbedding());
-  EXPECT_EQ(control.reason(), StopReason::kEmbeddingCap);
-}
-
 TEST(QueryControlTest, StateAndMemoryCapsLatch) {
   QueryControl states;
   QueryBudget budget;

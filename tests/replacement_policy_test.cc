@@ -28,7 +28,7 @@ IgqOptions PolicyOptions(ReplacementPolicy policy, size_t capacity,
   return options;
 }
 
-// Credits the cached entry isomorphic to `graph` through a probe session,
+// Credits the cached entry isomorphic to `graph`, found by a probe, through
 // the engines' own crediting path: H += 1, R += removed, C += cost.
 void Credit(ShardedQueryCache& cache, const Graph& graph, uint64_t removed = 0,
             LogValue cost = LogValue::Zero()) {
@@ -36,7 +36,7 @@ void Credit(ShardedQueryCache& cache, const Graph& graph, uint64_t removed = 0,
   const std::optional<ShardedQueryCache::Hit> hit =
       testing::IsomorphHit(probe, graph);
   ASSERT_TRUE(hit.has_value());
-  probe.CreditHit(*hit, removed, cost);
+  cache.CreditHit(*hit, removed, cost);
 }
 
 // Fills a capacity-2 cache with graphs a and b, gives them metadata via the

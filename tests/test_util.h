@@ -95,7 +95,7 @@ inline Graph PermuteVertices(Rng& rng, const Graph& g) {
 inline std::optional<ShardedQueryCache::Hit> IsomorphHit(
     const ShardedQueryCache::ProbeSession& session, const Graph& query) {
   for (const ShardedQueryCache::Hit& hit : session.supergraph_hits()) {
-    const Graph& cached = session.entry(hit).graph;
+    const Graph& cached = hit.entry->graph;
     if (cached.NumVertices() == query.NumVertices() &&
         cached.NumEdges() == query.NumEdges()) {
       return hit;
