@@ -30,10 +30,10 @@
 #include "igq/pruning.h"
 #include "isomorphism/cost_model.h"
 #include "isomorphism/match_core.h"
-#include "isomorphism/ullmann.h"
-#include "isomorphism/vf2.h"
 #include "methods/feature_count_index.h"
 #include "methods/path_trie.h"
+#include "tests/oracle/ullmann.h"
+#include "tests/oracle/vf2.h"
 #include "tests/scalar_prune_reference.h"
 
 // ---------------------------------------------------------------------------

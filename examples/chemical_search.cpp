@@ -62,7 +62,7 @@ int main() {
     // query.
     size_t tests = 0, answers = 0;
     int64_t micros = 0;
-    for (const igq::BatchResult& result :
+    for (const igq::QueryResult& result :
          engine.ProcessConcurrent(query_log, /*streams=*/1)) {
       tests += result.stats.iso_tests;
       answers += result.stats.answer_size;

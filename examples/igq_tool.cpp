@@ -45,7 +45,8 @@
 //       QueryEngine). The lifecycle flags (all off by
 //       default — every query is then unlimited) give
 //       every query a wall-clock deadline / search-state cap and enable
-//       admission control at the given cost watermark; budgeted runs
+//       admission control at the given cost watermark (queries then get a
+//       30-second deadline unless --deadline-ms sets one); budgeted runs
 //       print the typed outcome counters, and --verify then only
 //       compares queries that completed.
 //
@@ -420,15 +421,17 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     options.serving.admission_watermark = static_cast<uint64_t>(watermark);
   }
   igq::ConcurrentQueryEngine engine(db, method.get(), options);
-  igq::BatchOptions batch;
-  if (deadline_ms > 0) batch.budget.deadline_micros = deadline_ms * 1000;
-  if (max_states > 0) batch.budget.max_states = static_cast<uint64_t>(max_states);
+  igq::serving::QueryRequest request;
+  if (deadline_ms > 0) request.budget.deadline_micros = deadline_ms * 1000;
+  if (max_states > 0) {
+    request.budget.max_states = static_cast<uint64_t>(max_states);
+  }
   igq::Timer serve_timer;
-  const auto results = engine.ProcessConcurrent(queries, streams, batch);
+  const auto results = engine.ProcessConcurrent(queries, streams, request);
   const double seconds = serve_timer.ElapsedSeconds();
 
   size_t assisted = 0, tests = 0;
-  for (const igq::BatchResult& result : results) {
+  for (const igq::QueryResult& result : results) {
     tests += result.stats.iso_tests;
     if (result.stats.isub_hits + result.stats.isuper_hits > 0) ++assisted;
   }

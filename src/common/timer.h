@@ -38,7 +38,7 @@ class Timer {
 /// A null sink disables the timer entirely — no clock reads at either end —
 /// which is how the engines skip measurement overhead when the caller asked
 /// for no stats (QueryEngine::Process with stats == nullptr,
-/// BatchOptions::collect_stats == false).
+/// ProcessConcurrent with collect_stats == false).
 class ScopedTimer {
  public:
   explicit ScopedTimer(int64_t* sink_micros) : sink_(sink_micros) {

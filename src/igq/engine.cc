@@ -57,6 +57,12 @@ bool LockSharedUntil(std::shared_lock<std::shared_timed_mutex>& gate,
 #endif
 }
 
+// While admission is on, a request without a deadline gets this one. It
+// makes a budget-less request limited, which is what sends it through
+// admission at all, and it bounds how long an admitted query holds its cost
+// (and a queued one its thread).
+constexpr int64_t kAdmissionDeadlineMicros = 30'000'000;
+
 // Takes the writer gate's shared side for a query. Without a deadline the
 // wait is plain — cancellation is then noticed right after acquisition
 // (mutations are short; the latency is bounded by one mutation). With one,
@@ -124,13 +130,9 @@ std::vector<GraphId> QueryEngine::Process(const Graph& query,
 QueryResult QueryEngine::ProcessWithBudget(const Graph& query,
                                            const serving::QueryRequest& request,
                                            bool collect_stats) {
-  // Zero budget fields fall back to the engine's serving defaults.
   serving::QueryBudget budget = request.budget;
-  if (budget.deadline_micros == 0) {
-    budget.deadline_micros = options_.serving.default_deadline_micros;
-  }
-  if (budget.max_states == 0) {
-    budget.max_states = options_.serving.default_max_states;
+  if (admission_.enabled() && budget.deadline_micros <= 0) {
+    budget.deadline_micros = kAdmissionDeadlineMicros;
   }
   serving::QueryControl control;
   control.Arm(budget, request.cancel != nullptr ? request.cancel->flag()
@@ -200,10 +202,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
     filtered_epoch = db_->mutation_epoch;
     if (control.CheckNow()) return false;
     if (stats != nullptr) stats->candidates_initial = candidates.size();
-    // Memory cap: the post-filter candidate set is the query's dominant
-    // allocation driver, so the cap is enforced here, before pruning and
-    // verification fan out over it.
-    return !control.ChargeCandidates(candidates.size());
+    return true;
   };
   if (filter_first_ && !filter()) return stop(false, {});
 
@@ -259,7 +258,6 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
         result->outcome.stage = serving::QueryStage::kAdmission;
         return;
       case serving::AdmissionController::Result::kDeadline:
-        control.CheckNow();
         return stop(false, {});
       case serving::AdmissionController::Result::kAdmitted:
         break;
@@ -274,7 +272,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   // Stage: singleflight. Concurrent streams missing on the same canonical
   // key coalesce onto one in-flight record: the first to register (the
   // leader) runs the pipeline, the rest park on the record — each only
-  // until its own deadline — and share the published answer. A parked
+  // until its own query stops — and share the published answer. A parked
   // stream whose leader unwound without publishing re-checks its own
   // budget, then runs the pipeline itself, unregistered — correctness over
   // coalescing. A lone stream always leads.
@@ -291,18 +289,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
     }
     if (!leader) {
       std::unique_lock<std::mutex> wait_lock(inflight->mutex);
-      auto published = [&] { return inflight->done; };
-      if (limit == nullptr) {
-        inflight->cv.wait(wait_lock, published);
-      } else if (control.has_deadline()) {
-        inflight->cv.wait_until(wait_lock, control.deadline(), published);
-      } else {
-        // No deadline: wake periodically to notice external cancellation.
-        while (!inflight->cv.wait_for(wait_lock, std::chrono::milliseconds(50),
-                                      published) &&
-               !control.CheckNow()) {
-        }
-      }
+      control.Wait(wait_lock, inflight->cv, [&] { return inflight->done; });
       if (inflight->done && !inflight->failed) {
         result->answer = inflight->answer;
         wait_lock.unlock();
@@ -483,13 +470,12 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
   publish.Publish(result->answer);
 }
 
-std::vector<BatchResult> QueryEngine::ProcessConcurrent(
+std::vector<QueryResult> QueryEngine::ProcessConcurrent(
     std::span<const Graph> queries, size_t streams,
-    const BatchOptions& batch) {
-  std::vector<BatchResult> results(queries.size());
+    const serving::QueryRequest& request, bool collect_stats) {
+  std::vector<QueryResult> results(queries.size());
   if (queries.empty()) return results;
   streams = std::clamp<size_t>(streams, 1, queries.size());
-  const serving::QueryRequest request{batch.budget, batch.cancel};
 
   // Dynamic claiming: streams pull the next unprocessed query, so a stream
   // stuck on an expensive query does not strand its share of the batch.
@@ -498,8 +484,7 @@ std::vector<BatchResult> QueryEngine::ProcessConcurrent(
     for (;;) {
       const size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
       if (index >= queries.size()) break;
-      results[index] =
-          ProcessWithBudget(queries[index], request, batch.collect_stats);
+      results[index] = ProcessWithBudget(queries[index], request, collect_stats);
     }
   };
   std::vector<std::thread> workers;

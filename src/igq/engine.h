@@ -78,42 +78,16 @@ struct QueryStats {
   ShortcutKind shortcut = ShortcutKind::kNone;
 };
 
-/// Knobs for a batch run through ProcessConcurrent.
-struct BatchOptions {
-  /// Fill BatchResult::stats for every query (on by default). When false
-  /// the engine skips stats gathering entirely — no per-stage clock reads
-  /// and no QueryStats writes anywhere on the query path, not merely a
-  /// discarded copy — so throughput-oriented batch serving pays nothing
-  /// for the measurement plumbing; every BatchResult::stats stays
-  /// value-initialized. Answers and cache maintenance are unaffected.
-  bool collect_stats = true;
-
-  /// Per-query budget applied to every query of the batch (serving/budget.h):
-  /// each query runs as a ProcessWithBudget request, so zero fields fall
-  /// back to the engine's IgqOptions::ServingOptions defaults. With those
-  /// at their zero defaults, a default-constructed budget is unlimited and
-  /// a one-stream batch's cache trajectory is bit-identical to Process per
-  /// query.
-  serving::QueryBudget budget;
-
-  /// Optional external cancellation flag shared by the whole batch; may be
-  /// flipped from any thread. Null = not cancellable. Not owned.
-  const serving::CancelSource* cancel = nullptr;
-};
-
 /// Result of one query run as a request (ProcessWithBudget, and each query
-/// of a batch): `answer` is the full answer (kCompleted), a cache-composed
-/// partial answer flagged by the outcome (kPartial — a true subset of the
-/// full answer), or empty for the rejection outcomes.
+/// of a batch): `answer` is the full answer (kCompleted — always, for an
+/// unlimited request), a cache-composed partial answer flagged by the
+/// outcome (kPartial — a true subset of the full answer), or empty for the
+/// rejection outcomes.
 struct QueryResult {
   std::vector<GraphId> answer;
   serving::QueryOutcome outcome;
   QueryStats stats;
 };
-
-/// Per-query outcome of a batch run (always kCompleted for an unlimited
-/// query).
-using BatchResult = QueryResult;
 
 /// What LoadSnapshot actually restored.
 struct SnapshotLoadInfo {
@@ -183,14 +157,16 @@ class QueryEngine {
   std::vector<GraphId> Process(const Graph& query, QueryStats* stats = nullptr);
 
   /// Budgeted execution (serving/budget.h): runs the engine's one pipeline
-  /// under `request`'s deadline/caps/cancellation — with deadline-aware
-  /// writer-gate and singleflight waits, and admission control when
+  /// under `request`'s deadline/state cap/cancellation — with a
+  /// deadline-aware writer gate, singleflight and admission waits that
+  /// notice cancellation (QueryControl::Wait), and admission control when
   /// IgqOptions::ServingOptions::admission_watermark is nonzero — and
-  /// returns the typed outcome. Budget fields left at zero fall back to the
-  /// engine's ServingOptions defaults; a request left unlimited behaves
-  /// exactly like Process (bit-identical cache trajectory) and reports
-  /// kCompleted. Exact hits bypass admission, so cache hits stay cheap
-  /// under overload. Every completed query commits once, after
+  /// returns the typed outcome. The request is the only source of the
+  /// query's limits, with one rule: while admission is on, a request
+  /// without a deadline gets a 30-second one. A request left unlimited
+  /// behaves exactly like Process (bit-identical cache trajectory) and
+  /// reports kCompleted. Exact hits bypass admission, so cache hits stay
+  /// cheap under overload. Every completed query commits once, after
   /// verification — query-clock tick, §5.1 credits in consultation order,
   /// insertion — so one stopped mid-pipeline commits NOTHING and the cache
   /// stays bit-identical to an engine that never saw the query; a stop
@@ -214,17 +190,19 @@ class QueryEngine {
 
   /// Multiplexes `queries` over `streams` concurrently executing client
   /// streams (the calling thread participates, so `streams` is the total;
-  /// clamped to [1, queries.size()]), each query a ProcessWithBudget
-  /// request carrying the batch's budget and cancel flag, all reusing the
+  /// clamped to [1, queries.size()]), each query run as
+  /// ProcessWithBudget(query, request, collect_stats), all reusing the
   /// engine's verification pool. Queries are claimed dynamically, so uneven
   /// query costs still balance; results arrive in input order. With one
   /// stream the queries run in order on the calling thread, and an
   /// unlimited batch then answers identically to calling Process() per
-  /// query on a same-state engine. Reentrant — nested calls share the same
-  /// cache and pool.
-  std::vector<BatchResult> ProcessConcurrent(std::span<const Graph> queries,
-                                             size_t streams,
-                                             const BatchOptions& batch = {});
+  /// query on a same-state engine. `collect_stats` = false skips stats
+  /// gathering entirely (Process's null-stats mode), leaving every
+  /// QueryResult::stats value-initialized. Reentrant — nested calls share
+  /// the same cache and pool.
+  std::vector<QueryResult> ProcessConcurrent(
+      std::span<const Graph> queries, size_t streams,
+      const serving::QueryRequest& request = {}, bool collect_stats = true);
 
   /// Writes a warm-start snapshot (docs/FORMATS.md): the full cache state
   /// and, when the method supports persistence (Method::SaveIndex), its
@@ -311,7 +289,7 @@ class QueryEngine {
  private:
   /// Singleflight record for one canonical key being computed. The leader —
   /// the stream that inserted the record — runs the pipeline and publishes
-  /// its answer here; followers park on `cv`. `failed` marks a leader that
+  /// its answer here; followers park on `cv` (through QueryControl::Wait). `failed` marks a leader that
   /// stopped or unwound without publishing: followers are woken all the
   /// same — they never hang on a dead leader — re-check their own budget,
   /// and either stop or run the pipeline themselves, unregistered.

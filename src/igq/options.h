@@ -51,23 +51,14 @@ struct IgqOptions {
   /// Eviction policy (§5.1); kUtility unless running the ablation.
   ReplacementPolicy replacement_policy = ReplacementPolicy::kUtility;
 
-  /// Query-lifecycle defaults (serving/budget.h, serving/admission.h). All
-  /// zeros = budgets and admission fully off: a query is then unlimited
-  /// unless its own request carries a budget or cancel flag.
+  /// Engine-wide overload policy (serving/admission.h). A query's own
+  /// limits come only from its request (serving::QueryRequest).
   struct ServingOptions {
-    /// Default wall-clock deadline applied to budgeted queries that do not
-    /// carry their own (ProcessWithBudget with a zero-deadline request).
-    /// 0 = no default deadline.
-    int64_t default_deadline_micros = 0;
-
-    /// Default recursion-state cap for budgeted queries. 0 = unlimited.
-    /// Nonzero values below kBudgetCheckInterval (1024) are rounded up to
-    /// it — the amortized checkpoint cannot enforce a finer grain.
-    uint64_t default_max_states = 0;
-
     /// Admission watermark: total in-flight query cost (vertices + edges
     /// of each admitted query) beyond which new non-fast-path queries queue
     /// and, past the queue bound, are shed. 0 = admission control off.
+    /// While it is on, a request without a deadline gets a 30-second one
+    /// (QueryEngine::ProcessWithBudget), so it, too, passes admission.
     uint64_t admission_watermark = 0;
 
     /// Bound on the admission queue; queries arriving beyond it are shed
@@ -92,30 +83,11 @@ inline IgqOptions ValidatedIgqOptions(IgqOptions options) {
   if (options.cache_shards > options.cache_capacity) {
     options.cache_shards = options.cache_capacity;
   }
-  // Serving knobs. Negative deadlines are nonsense, not "expired": clamp to
-  // "no deadline" so a sign bug cannot silently reject every query.
-  if (options.serving.default_deadline_micros < 0) {
-    options.serving.default_deadline_micros = 0;
-  }
-  // The amortized checkpoint polls every 1024 states (kBudgetCheckInterval
-  // in isomorphism/match_core.h); a finer cap cannot be enforced.
-  if (options.serving.default_max_states != 0 &&
-      options.serving.default_max_states < 1024) {
-    options.serving.default_max_states = 1024;
-  }
-  if (options.serving.admission_watermark > 0) {
-    // Admission with a zero-length queue would shed every query that ever
-    // finds the engine busy; keep at least one waiter slot.
-    if (options.serving.admission_max_waiters == 0) {
-      options.serving.admission_max_waiters = 1;
-    }
-    // Admission with no deadline at all is the nonsensical combination the
-    // subsystem exists to prevent: an admitted query could hold its slot
-    // (and queued queries their threads) unboundedly. Back-stop with a
-    // 30-second default deadline.
-    if (options.serving.default_deadline_micros == 0) {
-      options.serving.default_deadline_micros = 30'000'000;
-    }
+  // Admission with a zero-length queue would shed every query that ever
+  // finds the engine busy; keep at least one waiter slot.
+  if (options.serving.admission_watermark > 0 &&
+      options.serving.admission_max_waiters == 0) {
+    options.serving.admission_max_waiters = 1;
   }
   return options;
 }

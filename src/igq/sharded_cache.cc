@@ -444,15 +444,19 @@ size_t ShardedQueryCache::window_fill() const {
 }
 
 size_t ShardedQueryCache::MemoryBytes() const {
+  auto entry_bytes = [](const CachedQuery& record) {
+    return record.graph.MemoryBytes() + record.answer.MemoryBytes() +
+           record.canonical.capacity() + sizeof(CachedQuery);
+  };
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);
+    // The index counts the probe data of the entries it holds; a window
+    // entry's probe data, built at Insert, is counted with the entry.
     bytes += sizeof(Shard) + shard->index.MemoryBytes();
-    for (const auto& record : shard->entries) {
-      bytes += record->graph.MemoryBytes();
-      bytes += record->answer.MemoryBytes();
-      bytes += record->canonical.capacity();
-      bytes += sizeof(CachedQuery);
+    for (const auto& record : shard->entries) bytes += entry_bytes(*record);
+    for (const auto& record : shard->window) {
+      bytes += entry_bytes(*record) + record->probe->MemoryBytes();
     }
   }
   {

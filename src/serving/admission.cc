@@ -1,18 +1,10 @@
 #include "serving/admission.h"
 
-#include <chrono>
-
 namespace igq {
 namespace serving {
 
 AdmissionController::Result AdmissionController::Admit(uint64_t cost,
                                                        QueryControl& control) {
-  if (!enabled()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++admitted_;
-    inflight_cost_ += cost;
-    return Result::kAdmitted;
-  }
   std::unique_lock<std::mutex> lock(mutex_);
   auto fits = [&] {
     // An oversized query (cost > watermark) runs alone: admit it only when
@@ -25,27 +17,12 @@ AdmissionController::Result AdmissionController::Admit(uint64_t cost,
       return Result::kShed;
     }
     ++waiters_;
-    for (;;) {
-      if (control.has_deadline()) {
-        if (!capacity_cv_.wait_until(lock, control.deadline(),
-                                     [&] { return fits(); })) {
-          --waiters_;
-          ++expired_in_queue_;
-          control.CheckNow();  // latch the typed stop (kDeadline) too
-          return Result::kDeadline;
-        }
-        break;  // predicate held
-      }
-      // No deadline: wake periodically to notice external cancellation.
-      capacity_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      if (fits()) break;
-      if (control.CheckNow()) {
-        --waiters_;
-        ++expired_in_queue_;
-        return Result::kDeadline;
-      }
-    }
+    const bool admitted = control.Wait(lock, capacity_cv_, fits);
     --waiters_;
+    if (!admitted) {
+      ++expired_in_queue_;
+      return Result::kDeadline;
+    }
   }
   ++admitted_;
   inflight_cost_ += cost;

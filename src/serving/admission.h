@@ -26,7 +26,7 @@ class AdmissionController {
   enum class Result : uint8_t {
     kAdmitted = 0,
     kShed,      // queue full (or shedding preferred) — caller rejects
-    kDeadline,  // deadline expired while queued
+    kDeadline,  // the query stopped (deadline or cancel) while queued
   };
 
   struct Stats {
@@ -37,19 +37,19 @@ class AdmissionController {
     size_t waiters = 0;
   };
 
-  /// `watermark` = 0 disables admission control (Admit always succeeds
-  /// immediately). `max_waiters` bounds the queue; beyond it, Admit sheds.
+  /// `watermark` = 0 disables admission control: the engine then never
+  /// calls Admit. `max_waiters` bounds the queue; beyond it, Admit sheds.
   AdmissionController(uint64_t watermark, size_t max_waiters)
       : watermark_(watermark), max_waiters_(max_waiters) {}
 
   bool enabled() const { return watermark_ != 0; }
 
-  /// Blocks until `cost` units fit under the watermark, the control's
-  /// deadline passes, or the queue bound forces a shed. A query whose cost
-  /// alone exceeds the watermark is admitted once nothing else is in flight
-  /// (otherwise it could never run). On kAdmitted the caller MUST balance
-  /// with Release(cost) — use AdmissionTicket. `control` is polled for the
-  /// deadline and the external cancel flag while queued.
+  /// Blocks until `cost` units fit under the watermark, the query stops, or
+  /// the queue bound forces a shed. A query whose cost alone exceeds the
+  /// watermark is admitted once nothing else is in flight (otherwise it
+  /// could never run). On kAdmitted the caller MUST balance with
+  /// Release(cost) — use AdmissionTicket. A queued query parks in
+  /// `control.Wait`, which notices its deadline and its cancel flag.
   Result Admit(uint64_t cost, QueryControl& control);
 
   void Release(uint64_t cost);

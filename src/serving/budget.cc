@@ -13,8 +13,6 @@ const char* StopReasonName(StopReason reason) {
       return "deadline";
     case StopReason::kStateCap:
       return "state_cap";
-    case StopReason::kMemoryCap:
-      return "memory_cap";
   }
   return "unknown";
 }

@@ -1,9 +1,10 @@
-// Query lifecycle control: per-query budgets (wall-clock deadline,
-// recursion-state and candidate-memory caps), cooperative
-// cancellation, and the typed QueryOutcome the engines surface for every
-// query — completed, partial (degradation ladder), deadline_expired, shed,
-// or cancelled. See docs/CONCURRENCY.md "Cancellation protocol" and
-// docs/ARCHITECTURE.md "Overload & degradation ladder".
+// Query lifecycle control: per-query budgets (wall-clock deadline and
+// recursion-state cap), cooperative cancellation, and the typed
+// QueryOutcome the engines surface for every query — completed, partial
+// (degradation ladder), deadline_expired, shed, or cancelled. The request
+// (QueryRequest) is the only source of a query's limits. See
+// docs/CONCURRENCY.md "Cancellation protocol" and docs/ARCHITECTURE.md
+// "Overload & degradation ladder".
 //
 // Threading model: one QueryControl belongs to one query. The owning stream
 // arms it and reads the outcome; during the verify stage borrowed VerifyPool
@@ -11,14 +12,17 @@
 // stop word are atomics. The external cancel flag (CancelSource) may be
 // flipped from any thread at any time; it is only ever polled, never waited
 // on, so cancellation latency is bounded by the polling interval
-// (kBudgetCheckInterval search states, or one pipeline-stage boundary).
+// (kBudgetCheckInterval search states, one pipeline-stage boundary, or
+// kWaitPollInterval for a query parked in QueryControl::Wait).
 #ifndef IGQ_SERVING_BUDGET_H_
 #define IGQ_SERVING_BUDGET_H_
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 
 namespace igq {
 namespace serving {
@@ -31,7 +35,6 @@ enum class StopReason : uint8_t {
   kCancelled,     // external CancelSource flag was set
   kDeadline,      // wall-clock deadline passed
   kStateCap,      // recursion-state cap exhausted
-  kMemoryCap,     // candidate-set cap exceeded (post-filter)
 };
 
 const char* StopReasonName(StopReason reason);
@@ -76,14 +79,13 @@ struct QueryBudget {
   /// kBudgetCheckInterval states, so the effective cap is rounded up to the
   /// polling interval. 0 = unlimited.
   uint64_t max_states = 0;
-  /// Cap on the post-filter candidate-set size — the query's dominant memory
-  /// driver. 0 = unlimited.
-  size_t max_candidates = 0;
 
-  bool Unlimited() const {
-    return deadline_micros == 0 && max_states == 0 && max_candidates == 0;
-  }
+  bool Unlimited() const { return deadline_micros == 0 && max_states == 0; }
 };
+
+/// How often a limited query parked in QueryControl::Wait wakes to poll its
+/// cancel flag when its deadline is further away (or absent).
+inline constexpr std::chrono::milliseconds kWaitPollInterval{50};
 
 /// External cancellation handle: the caller keeps the source, the engine
 /// polls the flag through the QueryControl armed with it. Thread-safe.
@@ -129,6 +131,28 @@ class QueryControl {
     return deadline_point_;
   }
 
+  /// The one wait of a parked query: blocks on `cv` (`lock` held on the
+  /// mutex guarding what `ready` reads) until `ready()` holds or the query
+  /// stops. An unlimited control waits plainly. A limited one sleeps until
+  /// its deadline or for kWaitPollInterval, whichever is sooner, then runs
+  /// CheckNow, so cancellation reaches it within one interval whatever its
+  /// deadline. Returns ready(): false means the query stopped first (and
+  /// the stop is latched).
+  template <typename Ready>
+  bool Wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+            Ready ready) {
+    if (!limited_) {
+      cv.wait(lock, ready);
+      return true;
+    }
+    while (!ready() && !CheckNow()) {
+      auto wake = std::chrono::steady_clock::now() + kWaitPollInterval;
+      if (has_deadline_ && deadline_point_ < wake) wake = deadline_point_;
+      cv.wait_until(lock, wake, ready);
+    }
+    return ready();
+  }
+
   bool stopped() const {
     return stop_word_.load(std::memory_order_acquire) != 0;
   }
@@ -151,7 +175,7 @@ class QueryControl {
     return static_cast<QueryStage>(stage_.load(std::memory_order_relaxed));
   }
 
-  /// Full check: cancel flag, deadline, accumulated caps. Returns stopped().
+  /// Full check: cancel flag, deadline, state cap. Returns stopped().
   /// Called at stage boundaries and from the amortized match-core
   /// checkpoint — never per search state.
   bool CheckNow();
@@ -160,15 +184,6 @@ class QueryControl {
   /// the match-core checkpoint body (called every kBudgetCheckInterval
   /// states per searching thread).
   bool ChargeStates(uint64_t states);
-
-  /// Post-filter memory-cap check: latches kMemoryCap when the candidate
-  /// set exceeds the budget's max_candidates. Returns stopped().
-  bool ChargeCandidates(size_t count) {
-    if (budget_.max_candidates != 0 && count > budget_.max_candidates) {
-      Latch(StopReason::kMemoryCap);
-    }
-    return stopped();
-  }
 
   uint64_t states_charged() const {
     return states_.load(std::memory_order_relaxed);
@@ -213,8 +228,9 @@ struct QueryOutcome {
 QueryOutcome MakeStoppedOutcome(const QueryControl& control, bool partial);
 
 /// Per-request lifecycle parameters: the budget plus an optional external
-/// cancellation flag. Fields left at defaults fall back to the engine's
-/// ServingOptions defaults.
+/// cancellation flag — the only source of a query's limits. The engine adds
+/// one rule (QueryEngine::ProcessWithBudget): while admission is on, a
+/// request without a deadline gets a 30-second one.
 struct QueryRequest {
   QueryBudget budget;
   const CancelSource* cancel = nullptr;

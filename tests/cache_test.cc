@@ -17,10 +17,10 @@
 #include "igq/engine.h"
 #include "igq/probe_index.h"
 #include "igq/sharded_cache.h"
-#include "isomorphism/vf2.h"
 #include "methods/registry.h"
 #include "snapshot/serializer.h"
 #include "tests/cache_payload.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 
 namespace igq {
@@ -247,6 +247,23 @@ TEST(QueryCacheTest, MemoryBytesGrowWithEntries) {
     cache.Insert(RandomConnectedGraph(rng, 10, 5, 3), {1, 2, 3});
   }
   EXPECT_GT(cache.MemoryBytes(), before);
+}
+
+TEST(QueryCacheTest, MemoryBytesCountsTheWindow) {
+  ShardedQueryCache cache(SmallOptions(100, 50));
+  std::vector<GraphId> answer;
+  for (GraphId id = 0; id < 200; ++id) answer.push_back(id);
+  Rng rng(11);
+  for (int i = 0; i < 49; ++i) {
+    cache.Insert(RandomConnectedGraph(rng, 12, 6, 3), answer);
+  }
+  ASSERT_EQ(cache.size(), 0u);  // every entry still queued in the window
+  size_t payload = 0;
+  for (const CachedQuery& entry : cache.Entries()) {
+    payload += entry.graph.MemoryBytes() + entry.answer.MemoryBytes();
+  }
+  EXPECT_GT(payload, 0u);
+  EXPECT_GE(cache.MemoryBytes(), payload);
 }
 
 TEST(QueryCacheTest, AnswersStoredSorted) {

@@ -17,7 +17,7 @@
 
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "isomorphism/vf2.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 
 namespace igq {

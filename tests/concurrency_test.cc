@@ -397,12 +397,10 @@ TEST(ConcurrentEngineTest, CollectStatsOffSkipsStatsButKeepsAnswers) {
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
   method->Build(db);
 
-  BatchOptions no_stats;
-  no_stats.collect_stats = false;
-
   // Concurrent path: answers unchanged, stats left value-initialized.
   ConcurrentQueryEngine engine(db, method.get(), options);
-  const auto quiet = engine.ProcessConcurrent(queries, 2, no_stats);
+  const auto quiet =
+      engine.ProcessConcurrent(queries, 2, {}, /*collect_stats=*/false);
   ConcurrentQueryEngine loud_engine(db, method.get(), options);
   const auto loud = loud_engine.ProcessConcurrent(queries, 2);
   ASSERT_EQ(quiet.size(), loud.size());
@@ -421,8 +419,8 @@ TEST(ConcurrentEngineTest, CollectStatsOffSkipsStatsButKeepsAnswers) {
 
   // A one-stream batch on the one-shard engine honors it identically.
   QueryEngine seq_quiet_engine(db, method.get(), options);
-  const auto seq_quiet =
-      seq_quiet_engine.ProcessConcurrent(queries, 1, no_stats);
+  const auto seq_quiet = seq_quiet_engine.ProcessConcurrent(
+      queries, 1, {}, /*collect_stats=*/false);
   QueryEngine seq_loud_engine(db, method.get(), options);
   const auto seq_loud = seq_loud_engine.ProcessConcurrent(queries, 1);
   ASSERT_EQ(seq_quiet.size(), seq_loud.size());

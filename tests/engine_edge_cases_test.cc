@@ -7,9 +7,9 @@
 
 #include "graph/algorithms.h"
 #include "igq/engine.h"
-#include "isomorphism/vf2.h"
 #include "methods/ggsx.h"
 #include "methods/grapes.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 
 namespace igq {

@@ -9,9 +9,9 @@
 #include "datasets/profiles.h"
 #include "graph/graph_io.h"
 #include "igq/engine.h"
-#include "isomorphism/vf2.h"
 #include "methods/feature_count_index.h"
 #include "methods/registry.h"
+#include "tests/oracle/vf2.h"
 #include "workload/query_generator.h"
 
 namespace igq {

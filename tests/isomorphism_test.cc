@@ -8,8 +8,8 @@
 #include "graph/csr_view.h"
 #include "isomorphism/cost_model.h"
 #include "isomorphism/match_core.h"
-#include "isomorphism/ullmann.h"
-#include "isomorphism/vf2.h"
+#include "tests/oracle/ullmann.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 
 namespace igq {

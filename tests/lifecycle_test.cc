@@ -183,21 +183,13 @@ TEST(QueryControlTest, DeadlineLatchesWithStageAndStaysSticky) {
   EXPECT_EQ(control.reason(), StopReason::kDeadline);
 }
 
-TEST(QueryControlTest, StateAndMemoryCapsLatch) {
+TEST(QueryControlTest, StateCapLatches) {
   QueryControl states;
   QueryBudget budget;
   budget.max_states = 1024;
   states.Arm(budget, nullptr);
   EXPECT_TRUE(states.ChargeStates(4096));
   EXPECT_EQ(states.reason(), StopReason::kStateCap);
-
-  QueryControl memory;
-  QueryBudget mem_budget;
-  mem_budget.max_candidates = 8;
-  memory.Arm(mem_budget, nullptr);
-  EXPECT_FALSE(memory.ChargeCandidates(8));
-  EXPECT_TRUE(memory.ChargeCandidates(9));
-  EXPECT_EQ(memory.reason(), StopReason::kMemoryCap);
 }
 
 TEST(QueryControlTest, StoppedOutcomeMapsReasonsToKinds) {
@@ -401,24 +393,6 @@ TEST(LifecycleSequentialTest, StateCapStopsPoisonAndLeavesStateUntouched) {
   ExpectSameCacheState(engine.cache(), twin.cache(), 998);
 }
 
-TEST(LifecycleSequentialTest, MemoryCapStopsAtFilterStage) {
-  const GraphDatabase db = MakeGridDb(4, 6, 6);
-  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  method->Build(db);
-  IgqOptions options;
-  QueryEngine engine(db, method.get(), options);
-
-  QueryRequest request;
-  request.budget.max_candidates = 1;  // every grid is a candidate: 4 > 1
-  const QueryResult result = engine.ProcessWithBudget(OddCycle(5), request);
-  EXPECT_EQ(result.outcome.kind, QueryOutcomeKind::kDeadlineExpired);
-  EXPECT_EQ(result.outcome.reason, StopReason::kMemoryCap);
-  EXPECT_EQ(result.outcome.stage, QueryStage::kFilter);
-  EXPECT_TRUE(result.answer.empty());
-  EXPECT_EQ(engine.cache().queries_processed(), 0u);
-  EXPECT_EQ(engine.cache().size() + engine.cache().window_fill(), 0u);
-}
-
 // The acceptance pin: a poison query — label-symmetric near-regular
 // grids, tens of millions of search states — budgeted at 50ms returns its
 // typed outcome within kDeadlineSlack x the deadline.
@@ -453,10 +427,10 @@ TEST(LifecycleSequentialTest, BudgetedBatchReportsOutcomes) {
   QueryEngine engine(db, method.get(), IgqOptions{});
 
   const std::vector<Graph> queries = MakeQueries(db, 131, 10);
-  BatchOptions batch;
-  batch.budget.deadline_micros = 10'000'000;  // generous: everything lands
-  const std::vector<BatchResult> results =
-      engine.ProcessConcurrent(queries, /*streams=*/1, batch);
+  QueryRequest request;
+  request.budget.deadline_micros = 10'000'000;  // generous: everything lands
+  const std::vector<QueryResult> results =
+      engine.ProcessConcurrent(queries, /*streams=*/1, request);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i].outcome.kind, QueryOutcomeKind::kCompleted);
@@ -511,10 +485,10 @@ TEST(LifecycleSequentialTest, AdmissionWaitUnderChurnStaysExact) {
     }
   });
 
-  BatchOptions batch;
-  batch.budget.deadline_micros = 60'000'000;  // limited, so admission runs
-  for (const BatchResult& result :
-       engine.ProcessConcurrent(queries, /*streams=*/4, batch)) {
+  QueryRequest request;
+  request.budget.deadline_micros = 60'000'000;  // limited, so admission runs
+  for (const QueryResult& result :
+       engine.ProcessConcurrent(queries, /*streams=*/4, request)) {
     EXPECT_EQ(result.outcome.kind, QueryOutcomeKind::kCompleted);
   }
   done.store(true, std::memory_order_release);
@@ -632,6 +606,72 @@ TEST(LifecycleConcurrentTest, FollowerDeadlineExpiresInSingleflightWait) {
   EXPECT_EQ(leader_result.outcome.reason, StopReason::kCancelled);
   // Exactly one pipeline execution: the follower never ran it.
   EXPECT_EQ(engine.pipeline_executions(), 1u);
+}
+
+// A parked query notices its cancel flag within one poll interval however
+// far away its own deadline is: the singleflight follower and the admission
+// queue both wait through QueryControl::Wait. Each case parks a query with
+// a 3-second deadline behind a poison query that runs until its own
+// 3-second deadline, then cancels it.
+TEST(LifecycleConcurrentTest, CancelReachesParkedQueriesBeforeTheirDeadline) {
+  const GraphDatabase db = MakeHeavyPoisonDb();
+  const Graph poison = OddCycle(13);
+  constexpr int64_t kDeadlineMicros = 3'000'000;
+  for (const bool admission : {false, true}) {
+    SCOPED_TRACE(admission ? "admission queue" : "singleflight follower");
+    auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
+    method->Build(db);
+    IgqOptions options = ConcurrentOptions();
+    // Any real query fills the engine, so the second one queues.
+    if (admission) options.serving.admission_watermark = 1;
+    ConcurrentQueryEngine engine(db, method.get(), options);
+
+    CancelSource leader_cancel;
+    std::thread leader([&] {
+      QueryRequest request;
+      request.budget.deadline_micros = kDeadlineMicros;
+      request.cancel = &leader_cancel;
+      engine.ProcessWithBudget(poison, request);
+    });
+    // The poison query is past admission and singleflight registration.
+    for (int i = 0; i < 2000 && engine.pipeline_executions() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(engine.pipeline_executions(), 1u);
+
+    CancelSource cancel;
+    QueryResult parked;
+    std::thread waiter([&] {
+      QueryRequest request;
+      request.budget.deadline_micros = kDeadlineMicros;
+      request.cancel = &cancel;
+      // The same key coalesces onto the poison query; a distinct one queues.
+      parked = engine.ProcessWithBudget(admission ? StarGraph(4) : poison,
+                                        request);
+    });
+    if (admission) {
+      for (int i = 0; i < 2000 && engine.admission_stats().waiters == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(engine.admission_stats().waiters, 1u);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto fired = std::chrono::steady_clock::now();
+    cancel.RequestCancel();
+    waiter.join();
+    const auto latency = std::chrono::steady_clock::now() - fired;
+    leader_cancel.RequestCancel();
+    leader.join();
+
+    EXPECT_EQ(parked.outcome.kind, QueryOutcomeKind::kCancelled);
+    EXPECT_EQ(parked.outcome.reason, StopReason::kCancelled);
+    EXPECT_EQ(parked.outcome.stage, admission ? QueryStage::kAdmission
+                                              : QueryStage::kSingleflightWait);
+    EXPECT_LT(latency, std::chrono::seconds(1));
+    EXPECT_TRUE(parked.answer.empty());
+    // The parked query never ran the pipeline.
+    EXPECT_EQ(engine.pipeline_executions(), 1u);
+  }
 }
 
 TEST(LifecycleConcurrentTest, LeaderAbortWakesFollowerWithTypedOutcome) {
@@ -844,10 +884,10 @@ TEST(LifecycleConcurrentTest, BudgetedConcurrentBatchCompletes) {
   ConcurrentQueryEngine engine(db, method.get(), ConcurrentOptions());
 
   const std::vector<Graph> queries = MakeQueries(db, 211, 24);
-  BatchOptions batch;
-  batch.budget.deadline_micros = 10'000'000;
-  const std::vector<BatchResult> results =
-      engine.ProcessConcurrent(queries, /*streams=*/3, batch);
+  QueryRequest request;
+  request.budget.deadline_micros = 10'000'000;
+  const std::vector<QueryResult> results =
+      engine.ProcessConcurrent(queries, /*streams=*/3, request);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i].outcome.kind, QueryOutcomeKind::kCompleted);

@@ -17,8 +17,8 @@
 #include "common/rng.h"
 #include "graph/csr_view.h"
 #include "isomorphism/match_core.h"
-#include "isomorphism/ullmann.h"
-#include "isomorphism/vf2.h"
+#include "tests/oracle/ullmann.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 
 namespace igq {

@@ -22,9 +22,9 @@
 
 #include "igq/engine.h"
 #include "igq/mutation.h"
-#include "isomorphism/ullmann.h"
 #include "methods/method.h"
 #include "methods/registry.h"
+#include "tests/oracle/ullmann.h"
 #include "tests/state_diff.h"
 #include "tests/test_util.h"
 

@@ -11,9 +11,9 @@
 #include "datasets/profiles.h"
 #include "graph/algorithms.h"
 #include "graph/graph_io.h"
-#include "isomorphism/vf2.h"
 #include "methods/feature_count_index.h"
 #include "methods/registry.h"
+#include "tests/oracle/vf2.h"
 #include "tests/test_util.h"
 #include "workload/query_generator.h"
 

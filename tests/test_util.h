@@ -12,9 +12,9 @@
 #include "graph/algorithms.h"
 #include "graph/graph.h"
 #include "igq/sharded_cache.h"
-#include "isomorphism/ullmann.h"
-#include "isomorphism/vf2.h"
 #include "methods/method.h"
+#include "tests/oracle/ullmann.h"
+#include "tests/oracle/vf2.h"
 
 namespace igq {
 namespace testing {

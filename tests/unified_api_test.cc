@@ -113,31 +113,6 @@ TEST(OptionsValidationTest, ZeroesClampedToOne) {
             testing::BruteForceSubgraphAnswer(db.graphs, query));
 }
 
-TEST(OptionsValidationTest, ServingBudgetKnobsClamped) {
-  GraphDatabase db = MakeDb(4, 5);
-  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  method->Build(db);
-  IgqOptions options;
-  options.serving.default_deadline_micros = -5;  // nonsensical
-  options.serving.default_max_states = 5;  // below the checkpoint interval
-  QueryEngine engine(db, method.get(), options);
-  EXPECT_EQ(engine.options().serving.default_deadline_micros, 0);
-  // A nonzero cap below the amortized checkpoint interval could never be
-  // observed; it clamps up to one interval.
-  EXPECT_EQ(engine.options().serving.default_max_states, 1024u);
-}
-
-TEST(OptionsValidationTest, ServingZeroMaxStatesStaysUnlimited) {
-  GraphDatabase db = MakeDb(5, 5);
-  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  method->Build(db);
-  IgqOptions options;  // serving defaults: everything off
-  QueryEngine engine(db, method.get(), options);
-  EXPECT_EQ(engine.options().serving.default_max_states, 0u);
-  EXPECT_EQ(engine.options().serving.default_deadline_micros, 0);
-  EXPECT_EQ(engine.options().serving.admission_watermark, 0u);
-}
-
 TEST(OptionsValidationTest, AdmissionImpliesWaitersAndSafetyDeadline) {
   GraphDatabase db = MakeDb(6, 5);
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
@@ -145,14 +120,19 @@ TEST(OptionsValidationTest, AdmissionImpliesWaitersAndSafetyDeadline) {
   IgqOptions options;
   options.serving.admission_watermark = 100;
   options.serving.admission_max_waiters = 0;  // queue nothing = shed all
-  options.serving.default_deadline_micros = 0;  // queued waits never expire
   QueryEngine engine(db, method.get(), options);
   // Shedding enabled with a zero-slot queue would reject every query that
   // ever has to wait; clamp to one slot.
   EXPECT_EQ(engine.options().serving.admission_max_waiters, 1u);
-  // Admission waits with no deadline could hang a caller forever; a
-  // safety deadline of 30s is imposed.
-  EXPECT_EQ(engine.options().serving.default_deadline_micros, 30'000'000);
+  // A request without a deadline gets a safety one while admission is on,
+  // so it is limited and passes admission instead of bypassing it.
+  Rng rng(7);
+  const Graph query = testing::RandomSubgraphOf(rng, db.graphs[0], 5);
+  const QueryResult result =
+      engine.ProcessWithBudget(query, serving::QueryRequest{});
+  EXPECT_EQ(result.outcome.kind, serving::QueryOutcomeKind::kCompleted);
+  EXPECT_EQ(result.answer, testing::BruteForceSubgraphAnswer(db.graphs, query));
+  EXPECT_EQ(engine.admission_stats().admitted, 1u);
 }
 
 // ---- GraphDatabase::RefreshLabelCount edge cases. ----
@@ -222,7 +202,7 @@ TEST(ProcessBatchTest, MatchesSequentialProcessOnAidsWorkload) {
   }
 
   QueryEngine batched(db, method.get(), options);
-  const std::vector<BatchResult> results =
+  const std::vector<QueryResult> results =
       batched.ProcessConcurrent(queries, /*streams=*/1);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
