@@ -246,9 +246,11 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.deadline_expired),
               static_cast<unsigned long long>(counters.shed),
               static_cast<unsigned long long>(counters.cancelled));
-  std::printf("admission shed / expired : %llu / %llu (watermark %llu)\n",
+  std::printf("admission shed / expired / cancelled : %llu / %llu / %llu "
+              "(watermark %llu)\n",
               static_cast<unsigned long long>(admission.shed),
               static_cast<unsigned long long>(admission.expired_in_queue),
+              static_cast<unsigned long long>(admission.cancelled_in_queue),
               static_cast<unsigned long long>(watermark));
 
   BenchJson json(flags, "robustness");

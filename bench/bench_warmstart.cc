@@ -5,8 +5,10 @@
 // least 5x faster than the rebuild; docs/REPRODUCING.md quotes a measured
 // run. Both engines then answer the same probe workload and the bench
 // fails (exit 1) on any divergence in answers or verification-test counts.
+// --json[=path] writes one row (BENCH_warmstart.json holds a default run).
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "common/table_printer.h"
@@ -63,6 +65,7 @@ int Main(int argc, char** argv) {
   }
   const double rebuild_seconds = rebuild_timer.ElapsedSeconds();
 
+  std::streamoff snapshot_bytes = 0;
   {
     std::ofstream out(snapshot_path, std::ios::binary);
     std::string error;
@@ -71,6 +74,7 @@ int Main(int argc, char** argv) {
                    snapshot_path.c_str(), error.c_str());
       return 1;
     }
+    snapshot_bytes = out.tellp();
   }
 
   // Warm path: one file read restores both the method index and the cache.
@@ -119,7 +123,15 @@ int Main(int argc, char** argv) {
                     "x"});
   table.Print();
   std::printf("cached queries restored : %zu\n", warm_engine.cache().size());
+  std::printf("snapshot size           : %lld bytes\n",
+              static_cast<long long>(snapshot_bytes));
   std::printf("probe answers identical : %s\n", identical ? "yes" : "NO");
+
+  BenchJson json(flags, "warmstart");
+  json.AddRow({{"rebuild_s", std::to_string(rebuild_seconds)},
+               {"load_s", std::to_string(load_seconds)},
+               {"snapshot_bytes", std::to_string(snapshot_bytes)},
+               {"cached_queries", std::to_string(warm_engine.cache().size())}});
   return identical ? 0 : 1;
 }
 

@@ -244,8 +244,9 @@ int CmdSave(const std::map<std::string, std::string>& flags) {
 }
 
 // Typed exit codes for snapshot load failures, so scripts and CI can tell
-// "re-generate the snapshot" (4) from "the disk ate it" (2) from "upgrade
-// the reader" (3).
+// "the disk ate it" (2) from "another format version wrote it" (3) from
+// "it belongs to another dataset or configuration" (4). Snapshots are
+// never migrated: after a 3 or a 4, save a fresh one.
 int LoadExitCode(igq::snapshot::SnapshotErrorKind kind) {
   switch (kind) {
     case igq::snapshot::SnapshotErrorKind::kCorrupt: return 2;
@@ -458,10 +459,11 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       const igq::serving::AdmissionController::Stats adm =
           engine.admission_stats();
       std::printf("  admission: %llu admitted, %llu shed, %llu expired in "
-                  "queue (watermark %lld)\n",
+                  "queue, %llu cancelled in queue (watermark %lld)\n",
                   static_cast<unsigned long long>(adm.admitted),
                   static_cast<unsigned long long>(adm.shed),
                   static_cast<unsigned long long>(adm.expired_in_queue),
+                  static_cast<unsigned long long>(adm.cancelled_in_queue),
                   watermark);
     }
   }

@@ -53,36 +53,12 @@ bool PeekSnapshotEpoch(const std::string& contents, uint64_t* epoch,
                        std::string* error) {
   *epoch = 0;
   std::istringstream in(contents);
-  if (!snapshot::ReadSnapshotHeader(in, error)) return false;
-  std::string mutation_payload;
-  bool have_mutation = false;
-  for (;;) {
-    snapshot::Section section;
-    if (!snapshot::ReadSection(in, &section, error)) return false;
-    if (section.id == snapshot::kSectionEnd) break;
-    if (section.id == snapshot::kSectionMutationState) {
-      mutation_payload = std::move(section.payload);
-      have_mutation = true;
-    }
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    if (error != nullptr) {
-      *error = "corrupt snapshot: trailing bytes after the end marker";
-    }
-    return false;
-  }
-  if (!have_mutation) return true;  // never-mutated snapshot: epoch 0
-
-  // The section layout (mutation_state.h): u32 payload version, u64 epoch,
-  // then the tombstone list — which peeking does not need.
-  std::istringstream payload(mutation_payload);
+  snapshot::SnapshotSections sections;
+  if (!snapshot::ReadSnapshot(in, &sections, error)) return false;
+  if (!sections.mutation_state) return true;  // never-mutated snapshot: epoch 0
+  std::istringstream payload(std::move(*sections.mutation_state));
   snapshot::BinaryReader reader(payload);
-  uint32_t version = 0;
-  if (!reader.ReadU32(&version) || !reader.ReadU64(epoch)) {
-    if (error != nullptr) *error = "mutation-state section is malformed";
-    return false;
-  }
-  return true;
+  return snapshot::ReadMutationEpoch(reader, epoch, error);
 }
 
 bool SaveSnapshotAtomic(FileSystem& fs, const std::string& path,
@@ -178,6 +154,27 @@ RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
                      return a.epoch > b.epoch;
                    });
 
+  // Engine-level replay of every record past `from_epoch` (WAL epochs
+  // start at 1): the index and the cached answers move together, exactly
+  // as they did before the crash. Returns the records applied.
+  auto replay_through_engine = [&](uint64_t from_epoch) {
+    size_t replayed = 0;
+    for (const WalRecord& record : scan.records) {
+      if (record.epoch <= from_epoch) continue;
+      const MutationResult applied = engine.ApplyMutation(db, record.mutation);
+      if (!applied.applied) {
+        report.notes.push_back(
+            "replay stopped at record " + std::to_string(record.sequence) +
+            " (epoch " + std::to_string(record.epoch) +
+            "): mutation did not apply; state is consistent up to the "
+            "previous record");
+        break;
+      }
+      ++replayed;
+    }
+    return replayed;
+  };
+
   bool newest = !skipped_existing;
   for (SnapshotCandidate& candidate : candidates) {
     // Rewind, then replay the database alone up to the snapshot's epoch —
@@ -213,30 +210,13 @@ RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
       continue;
     }
     if (!info.method_index_restored) method.Build(db);
-
-    // Engine-level replay of the suffix: the index and the cached answers
-    // move together, exactly as they did before the crash.
-    size_t engine_replayed = 0;
-    for (const WalRecord& record : scan.records) {
-      if (record.epoch <= candidate.epoch) continue;
-      const MutationResult applied = engine.ApplyMutation(db, record.mutation);
-      if (!applied.applied) {
-        report.notes.push_back(
-            "replay stopped at record " + std::to_string(record.sequence) +
-            " (epoch " + std::to_string(record.epoch) +
-            "): mutation did not apply; state is consistent up to the "
-            "previous record");
-        break;
-      }
-      ++engine_replayed;
-    }
+    report.engine_replayed_records = replay_through_engine(candidate.epoch);
 
     report.rung = newest ? RecoveryRung::kNewestSnapshot
                          : RecoveryRung::kOlderSnapshot;
     report.snapshot_path = candidate.path;
     report.snapshot_epoch = candidate.epoch;
     report.db_replayed_records = db_replayed;
-    report.engine_replayed_records = engine_replayed;
     report.recovered_epoch = db.mutation_epoch;
     return report;
   }
@@ -246,21 +226,8 @@ RecoveryReport RecoverEngine(FileSystem& fs, const RecoverySpec& spec,
   db = pristine;
   method.Build(db);
   if (!scan.records.empty()) {
-    size_t engine_replayed = 0;
-    for (const WalRecord& record : scan.records) {
-      const MutationResult applied = engine.ApplyMutation(db, record.mutation);
-      if (!applied.applied) {
-        report.notes.push_back(
-            "replay stopped at record " + std::to_string(record.sequence) +
-            " (epoch " + std::to_string(record.epoch) +
-            "): mutation did not apply; state is consistent up to the "
-            "previous record");
-        break;
-      }
-      ++engine_replayed;
-    }
     report.rung = RecoveryRung::kLogOnly;
-    report.engine_replayed_records = engine_replayed;
+    report.engine_replayed_records = replay_through_engine(0);
   } else {
     report.rung = RecoveryRung::kColdRebuild;
   }

@@ -8,7 +8,6 @@
 
 #include "common/timer.h"
 #include "features/canonical.h"
-#include "igq/engine_shell.h"
 #include "igq/pruning.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -257,7 +256,7 @@ void QueryEngine::Execute(const Graph& query, serving::QueryControl& control,
         result->outcome.kind = serving::QueryOutcomeKind::kShed;
         result->outcome.stage = serving::QueryStage::kAdmission;
         return;
-      case serving::AdmissionController::Result::kDeadline:
+      case serving::AdmissionController::Result::kStopped:
         return stop(false, {});
       case serving::AdmissionController::Result::kAdmitted:
         break;
@@ -493,33 +492,6 @@ std::vector<QueryResult> QueryEngine::ProcessConcurrent(
   stream_loop();  // the caller is stream 0
   for (std::thread& worker : workers) worker.join();
   return results;
-}
-
-bool QueryEngine::SaveSnapshot(std::ostream& out, std::string* error) const {
-  return SaveEngineSnapshot(out, *db_, *method_, *cache_, error);
-}
-
-bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
-                               SnapshotLoadInfo* info) {
-  auto fresh_cache =
-      std::make_unique<ShardedQueryCache>(options_, db_->graphs.size());
-  if (!LoadEngineSnapshot(in, *db_, *method_, *fresh_cache, error, info)) {
-    return false;
-  }
-  cache_ = std::move(fresh_cache);
-  return true;
-}
-
-MutationResult QueryEngine::ApplyMutation(GraphDatabase& db,
-                                          const GraphMutation& mutation) {
-  if (&db != db_) return {};  // not the database this engine serves
-  // Writer side of the mutation gate: waits for in-flight queries to drain
-  // and blocks new ones for the duration of the mutation, which is what
-  // makes the db.graphs reallocation (and the method's index surgery)
-  // safe. The WAL append sits inside the exclusive section too: the gate is
-  // what serializes WAL writes, so record order on disk IS apply order.
-  std::unique_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_);
-  return ApplyEngineMutation(db, *method_, *cache_, wal_, mutation);
 }
 
 }  // namespace igq

@@ -212,16 +212,16 @@ class QueryEngine {
 
   /// Restores a snapshot produced by SaveSnapshot() of an engine with the
   /// same IgqOptions — cache_shards included, so either class loads the
-  /// other's snapshot when both run one shard — and method configuration,
-  /// or an older build's one-shard cache section (docs/FORMATS.md). Cache
-  /// geometry/policy and index configuration mismatches are rejected;
-  /// after a successful load a single stream is answered identically (same
-  /// answers, hit/miss sequence, and replacement victims) to the producing
-  /// engine. When the snapshot carries a method index, this substitutes for
-  /// Method::Build() — see `info->method_index_restored`. Corrupt,
-  /// truncated, version-mismatched, or wrong-dataset snapshots are
-  /// rejected with `error` set and the engine — cache and method alike —
-  /// left exactly as it was. Requires quiescence.
+  /// other's snapshot when both run one shard — and method configuration
+  /// (docs/FORMATS.md). Cache geometry/policy and index configuration
+  /// mismatches are rejected; after a successful load a single stream is
+  /// answered identically (same answers, hit/miss sequence, and replacement
+  /// victims) to the producing engine. When the snapshot carries a method
+  /// index, this substitutes for Method::Build() — see
+  /// `info->method_index_restored`. Corrupt, truncated, wrong-dataset, or
+  /// version-mismatched snapshots — every file an older format version
+  /// wrote — are rejected with `error` set and the engine — cache and
+  /// method alike — left exactly as it was. Requires quiescence.
   bool LoadSnapshot(std::istream& in, std::string* error = nullptr,
                     SnapshotLoadInfo* info = nullptr);
 

@@ -1,4 +1,8 @@
-#include "igq/engine_shell.h"
+// QueryEngine's members around the query pipeline (engine.cc): warm-start
+// snapshot save/load (docs/FORMATS.md) and dataset-mutation apply, kept
+// here so the file formats and the mutation sequence stay out of the
+// pipeline's file.
+#include "igq/engine.h"
 
 #include <sstream>
 
@@ -16,16 +20,14 @@ void SetError(std::string* error, const std::string& message) {
 
 }  // namespace
 
-bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
-                        const Method& method, const ShardedQueryCache& cache,
-                        std::string* error) {
+bool QueryEngine::SaveSnapshot(std::ostream& out, std::string* error) const {
   snapshot::WriteSnapshotHeader(out);
 
   std::ostringstream cache_payload;
   {
     snapshot::BinaryWriter writer(cache_payload);
-    cache.Save(writer, db.graphs.size(),
-               snapshot::DatasetFingerprint(db.graphs));
+    cache_->Save(writer, db_->graphs.size(),
+                 snapshot::DatasetFingerprint(db_->graphs));
     if (!writer.ok()) {
       SetError(error, "failed to serialize cache state");
       return false;
@@ -39,19 +41,19 @@ bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
   std::ostringstream index_payload;
   {
     snapshot::BinaryWriter writer(index_payload);
-    writer.WriteString(method.Name());
+    writer.WriteString(method_->Name());
   }
-  if (method.SaveIndex(index_payload)) {
+  if (method_->SaveIndex(index_payload)) {
     snapshot::WriteSection(out, snapshot::kSectionMethodIndex,
                            std::move(index_payload).str());
   }
 
   // Mutation state rides along once the dataset has ever mutated; a
-  // never-mutated snapshot stays byte-identical to the pre-mutation format.
-  if (db.mutation_epoch != 0) {
+  // snapshot without it is of the never-mutated dataset.
+  if (db_->mutation_epoch != 0) {
     std::ostringstream mutation_payload;
     snapshot::BinaryWriter writer(mutation_payload);
-    snapshot::WriteMutationState(writer, db);
+    snapshot::WriteMutationState(writer, *db_);
     snapshot::WriteSection(out, snapshot::kSectionMutationState,
                            std::move(mutation_payload).str());
   }
@@ -64,9 +66,8 @@ bool SaveEngineSnapshot(std::ostream& out, const GraphDatabase& db,
   return true;
 }
 
-bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
-                        Method& method, ShardedQueryCache& fresh_cache,
-                        std::string* error, SnapshotLoadInfo* info) {
+bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
+                               SnapshotLoadInfo* info) {
   if (info != nullptr) *info = SnapshotLoadInfo{};
   // Each failure path classifies itself (SnapshotErrorKind) so callers can
   // tell damaged bytes, version skew, and dataset divergence apart.
@@ -75,43 +76,14 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
     if (info != nullptr) info->error_kind = value;
     return false;  // so failure paths read `return classify(...)`
   };
-  if (!snapshot::ReadSnapshotHeader(in, error, &kind)) return classify(kind);
 
   // Decode and checksum-verify every section before touching engine state,
   // so a file corrupted anywhere is rejected without side effects.
-  std::string cache_payload, index_payload, mutation_payload;
-  bool have_cache = false, have_index = false, have_mutation = false;
-  // Older sequential engines wrote their cache state as a one-shard
-  // section: the same payload without the shard count.
-  bool one_shard_layout = false;
-  for (;;) {
-    snapshot::Section read;
-    if (!snapshot::ReadSection(in, &read, error, &kind)) {
-      return classify(kind);
-    }
-    if (read.id == snapshot::kSectionEnd) break;
-    if (read.id == snapshot::kSectionCache ||
-        read.id == snapshot::kSectionOneShardCache) {
-      cache_payload = std::move(read.payload);
-      have_cache = true;
-      one_shard_layout = read.id == snapshot::kSectionOneShardCache;
-    } else if (read.id == snapshot::kSectionMethodIndex) {
-      index_payload = std::move(read.payload);
-      have_index = true;
-    } else if (read.id == snapshot::kSectionMutationState) {
-      mutation_payload = std::move(read.payload);
-      have_mutation = true;
-    }
-    // Unknown section ids are skipped: they are checksum-verified data, not
-    // corruption.
+  snapshot::SnapshotSections sections;
+  if (!snapshot::ReadSnapshot(in, &sections, error, &kind)) {
+    return classify(kind);
   }
-  // The end marker itself carries no checksum, so a section id corrupted
-  // into 0 would silently drop the file's tail — require EOF behind it.
-  if (in.peek() != std::char_traits<char>::eof()) {
-    SetError(error, "corrupt snapshot: trailing bytes after the end marker");
-    return classify(snapshot::SnapshotErrorKind::kCorrupt);
-  }
-  if (!have_cache) {
+  if (!sections.cache) {
     SetError(error, "snapshot has no cache section");
     return classify(snapshot::SnapshotErrorKind::kCorrupt);
   }
@@ -122,15 +94,16 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
   // never-mutated database.
   uint64_t mutation_epoch = 0;
   size_t num_tombstones = 0;
-  if (have_mutation) {
-    const uint64_t mutation_payload_size = mutation_payload.size();
-    std::istringstream mutation_stream(std::move(mutation_payload));
+  if (sections.mutation_state) {
+    const uint64_t mutation_payload_size = sections.mutation_state->size();
+    std::istringstream mutation_stream(std::move(*sections.mutation_state));
     snapshot::BinaryReader mutation_reader(mutation_stream);
     // Length fields inside the section cannot claim more than the section
     // itself holds — forged counts fail before allocating.
     mutation_reader.LimitRemainingBytes(mutation_payload_size);
-    if (!snapshot::ValidateMutationState(mutation_reader, db, &mutation_epoch,
-                                         &num_tombstones, error, &kind)) {
+    if (!snapshot::ValidateMutationState(mutation_reader, *db_,
+                                         &mutation_epoch, &num_tombstones,
+                                         error, &kind)) {
       return classify(kind);
     }
     if (mutation_stream.peek() != std::char_traits<char>::eof()) {
@@ -138,7 +111,7 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
                "corrupt snapshot: unread bytes in the mutation-state section");
       return classify(snapshot::SnapshotErrorKind::kCorrupt);
     }
-  } else if (db.mutation_epoch != 0) {
+  } else if (db_->mutation_epoch != 0) {
     SetError(error,
              "snapshot carries no mutation state but the database has "
              "mutated since construction");
@@ -147,8 +120,9 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
 
   // Validate the method-index framing before committing any state, so a
   // rejected load leaves both the cache and the method untouched.
-  std::istringstream index_stream(std::move(index_payload));
-  if (have_index) {
+  std::istringstream index_stream;
+  if (sections.method_index) {
+    index_stream.str(std::move(*sections.method_index));
     std::string method_name;
     {
       snapshot::BinaryReader name_reader(index_stream);
@@ -157,24 +131,25 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
         return classify(snapshot::SnapshotErrorKind::kCorrupt);
       }
     }
-    if (method_name != method.Name()) {
+    if (method_name != method_->Name()) {
       SetError(error, "snapshot index was built by method '" + method_name +
-                          "', engine runs '" + method.Name() + "'");
+                          "', engine runs '" + method_->Name() + "'");
       return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
     }
   }
 
-  // The cache loads into the caller's fresh object, swapped in only after
-  // the method index (if any) also loads, so every failure path leaves the
-  // engine — cache and method alike — exactly as it was.
-  const uint64_t cache_payload_size = cache_payload.size();
-  std::istringstream cache_stream(std::move(cache_payload));
+  // The cache loads into a fresh object, swapped in only after the method
+  // index (if any) also loads, so every failure path leaves the engine —
+  // cache and method alike — exactly as it was.
+  auto fresh_cache =
+      std::make_unique<ShardedQueryCache>(options_, db_->graphs.size());
+  const uint64_t cache_payload_size = sections.cache->size();
+  std::istringstream cache_stream(std::move(*sections.cache));
   snapshot::BinaryReader cache_reader(cache_stream);
   // Same forged-length arming as the mutation section above.
   cache_reader.LimitRemainingBytes(cache_payload_size);
-  if (!fresh_cache.Load(cache_reader, db.graphs.size(),
-                        snapshot::DatasetFingerprint(db.graphs),
-                        /*with_shard_count=*/!one_shard_layout)) {
+  if (!fresh_cache->Load(cache_reader, db_->graphs.size(),
+                         snapshot::DatasetFingerprint(db_->graphs))) {
     SetError(error,
              "cache section rejected (malformed, saved under different iGQ "
              "options, or over a different dataset)");
@@ -189,11 +164,11 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
     return classify(snapshot::SnapshotErrorKind::kCorrupt);
   }
 
-  if (have_index) {
+  if (sections.method_index) {
     // Method::LoadIndex implementations commit only on success, so a
     // false here leaves the method's existing index intact.
-    if (!method.LoadIndex(db, index_stream)) {
-      SetError(error, "method '" + method.Name() +
+    if (!method_->LoadIndex(*db_, index_stream)) {
+      SetError(error, "method '" + method_->Name() +
                           "' rejected its index payload (incompatible "
                           "configuration or malformed bytes)");
       return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
@@ -211,17 +186,23 @@ bool LoadEngineSnapshot(std::istream& in, const GraphDatabase& db,
   }
 
   if (info != nullptr) {
-    info->cached_queries = fresh_cache.size();
+    info->cached_queries = fresh_cache->size();
     info->mutation_epoch = mutation_epoch;
     info->tombstones = num_tombstones;
   }
+  cache_ = std::move(fresh_cache);
   return true;
 }
 
-MutationResult ApplyEngineMutation(GraphDatabase& db, Method& method,
-                                   ShardedQueryCache& cache,
-                                   durability::WalWriter* wal,
-                                   const GraphMutation& mutation) {
+MutationResult QueryEngine::ApplyMutation(GraphDatabase& db,
+                                          const GraphMutation& mutation) {
+  if (&db != db_) return {};  // not the database this engine serves
+  // Writer side of the mutation gate: waits for in-flight queries to drain
+  // and blocks new ones for the duration of the mutation, which is what
+  // makes the db.graphs reallocation (and the method's index surgery)
+  // safe. The WAL append sits inside the exclusive section too: the gate is
+  // what serializes WAL writes, so record order on disk IS apply order.
+  std::unique_lock<std::shared_timed_mutex> mutation_gate(mutation_mutex_);
   MutationResult result;
   // The no-op check runs BEFORE the WAL append, so every logged record
   // corresponds to exactly one applied mutation — one epoch increment —
@@ -232,23 +213,24 @@ MutationResult ApplyEngineMutation(GraphDatabase& db, Method& method,
   }
   // Log-before-apply: a mutation that cannot be made durable is refused
   // outright rather than applied and lost on the next crash.
-  if (wal != nullptr &&
-      !wal->Append(mutation, db.mutation_epoch + 1, &result.wal_sequence)) {
+  if (wal_ != nullptr &&
+      !wal_->Append(mutation, db.mutation_epoch + 1, &result.wal_sequence)) {
     result.wal_failed = true;
     return result;
   }
   if (mutation.kind == MutationKind::kAddGraph) {
     result.id = db.AddGraph(mutation.graph);
     result.applied = true;
-    result.incremental = method.OnAddGraph(db, result.id);
-    if (!result.incremental) method.Build(db);
-    cache.ApplyGraphAdded(db.graphs[result.id], result.id, method.Direction());
+    result.incremental = method_->OnAddGraph(db, result.id);
+    if (!result.incremental) method_->Build(db);
+    cache_->ApplyGraphAdded(db.graphs[result.id], result.id,
+                            method_->Direction());
   } else {
     db.RemoveGraph(mutation.id);  // cannot fail: IsLive held above
     result.applied = true;
-    result.incremental = method.OnRemoveGraph(db, mutation.id);
-    if (!result.incremental) method.Build(db);
-    cache.ApplyGraphRemoved(mutation.id);
+    result.incremental = method_->OnRemoveGraph(db, mutation.id);
+    if (!result.incremental) method_->Build(db);
+    cache_->ApplyGraphRemoved(mutation.id);
   }
   result.epoch = db.mutation_epoch;
   return result;

@@ -62,8 +62,8 @@ struct CachedQuery {
   Graph graph;
   /// GraphCanonicalCode(graph): the isomorphism-complete key the cache's
   /// exact-hit map uses, so an exact hit is one hash lookup instead of a
-  /// probe plus isomorphism test. Persisted in snapshot record version 2;
-  /// recomputed from `graph` when loading older snapshots (docs/FORMATS.md).
+  /// probe plus isomorphism test. Derived data: not persisted, recomputed
+  /// from `graph` on snapshot load.
   std::string canonical;
   IdSet answer;
   QueryGraphMetadata meta;

@@ -11,22 +11,18 @@
 namespace igq {
 namespace {
 
-/// Payload version of the serialized cache state. Version 2 added the
-/// canonical key to every cached-query record; version-1 payloads are
-/// still accepted, with the keys recomputed on load (docs/FORMATS.md).
-constexpr uint32_t kCacheStateVersion = 2;
-constexpr uint32_t kCacheStateVersionNoCanonical = 1;
+/// Payload version of the serialized cache state (docs/FORMATS.md). Its
+/// records carry no canonical key: Load derives every key from the graph.
+constexpr uint32_t kCacheStateVersion = 3;
 
-/// Serializes one cached-query record (graph, canonical key, sorted answer,
-/// §5.1 metadata) in snapshot record version 2 (docs/FORMATS.md).
+/// Serializes one cached-query record (graph, sorted answer, §5.1
+/// metadata) in the version-3 layout (docs/FORMATS.md).
 void SaveCachedQuery(snapshot::BinaryWriter& writer,
                      const CachedQuery& record) {
   writer.WriteU64(record.id);
   snapshot::WriteGraph(writer, record.graph);
-  writer.WriteString(record.canonical);
   // Answers are written as sorted id arrays regardless of their in-memory
-  // representation (docs/FORMATS.md): the encoding predates the adaptive
-  // IdSet and stays byte-identical.
+  // representation (docs/FORMATS.md).
   writer.WriteU64(record.answer.size());
   record.answer.ForEach([&writer](GraphId id) { writer.WriteU32(id); });
   writer.WriteU64(record.meta.hits);
@@ -36,21 +32,14 @@ void SaveCachedQuery(snapshot::BinaryWriter& writer,
   writer.WriteU64(record.meta.last_hit_at);
 }
 
-/// Restores a record written by SaveCachedQuery. The canonical key is
-/// always derived from the graph; `with_canonical` (record version 2) reads
-/// the stored key too, which must equal it — the section CRC only vouches
-/// for the bytes, and a wrong key would serve this entry's answer for
-/// another query. Version-1 records (pre-key snapshots) have no stored key.
-/// Returns false on malformed bytes, a stored key that differs from the
-/// derived one, an answer id outside [0, num_graphs), or an unsorted answer.
+/// Restores a record written by SaveCachedQuery and derives its canonical
+/// key from the graph. Returns false on malformed bytes, an answer id
+/// outside [0, num_graphs), or an unsorted answer.
 bool LoadCachedQuery(snapshot::BinaryReader& reader, CachedQuery* record,
-                     uint64_t num_graphs, bool with_canonical) {
+                     uint64_t num_graphs) {
   if (!reader.ReadU64(&record->id)) return false;
   if (!snapshot::ReadGraph(reader, &record->graph)) return false;
-  std::string stored;
-  if (with_canonical && !reader.ReadString(&stored)) return false;
   record->canonical = GraphCanonicalCode(record->graph);
-  if (with_canonical && stored != record->canonical) return false;
   uint64_t answer_size = 0;
   if (!reader.ReadU64(&answer_size)) return false;
   std::vector<GraphId> answer_ids;
@@ -326,15 +315,11 @@ void ShardedQueryCache::MaintainShard(size_t shard_index, bool force,
       shard.window.erase(shard.window.begin(),
                          shard.window.begin() + static_cast<ptrdiff_t>(take));
       shard.index = std::move(fresh_index);
-      // A victim's key goes only where the map names that victim (a key
-      // held by an isomorph from an older snapshot stays).
+      // One key names one entry, so each victim's key is its own.
       {
         std::unique_lock<std::shared_mutex> map_lock(canonical_mutex_);
         for (const std::shared_ptr<CachedQuery>& victim : victims) {
-          const auto it = canonical_index_.find(victim->canonical);
-          if (it != canonical_index_.end() && it->second.entry == victim) {
-            canonical_index_.erase(it);
-          }
+          canonical_index_.erase(victim->canonical);
         }
       }
       more = shard.window.size() >= shard_window_ ||
@@ -508,17 +493,11 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
 }
 
 bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
-                             uint64_t num_graphs, uint32_t dataset_crc,
-                             bool with_shard_count) {
+                             uint64_t num_graphs, uint32_t dataset_crc) {
   uint32_t version = 0, path_max_edges = 0;
-  if (!reader.ReadU32(&version) ||
-      (version != kCacheStateVersion &&
-       version != kCacheStateVersionNoCanonical)) {
+  if (!reader.ReadU32(&version) || version != kCacheStateVersion) {
     return false;
   }
-  // Version-1 payloads predate the stored canonical key; every record's key
-  // is derived from its graph either way (LoadCachedQuery).
-  const bool with_canonical = version == kCacheStateVersion;
   if (!reader.ReadU32(&path_max_edges) ||
       path_max_edges != options_.path_max_edges) {
     return false;
@@ -526,13 +505,11 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
   // Geometry must match in full: capacity/window drive flush cadence and
   // eviction counts, the policy picks victims, and the shard count decides
   // both graph placement and the per-shard slices.
-  // The one-shard layout has no shard count field.
   uint64_t cache_capacity = 0, window_size = 0;
   uint8_t policy = 0;
-  uint32_t shard_count = 1;
+  uint32_t shard_count = 0;
   if (!reader.ReadU64(&cache_capacity) || !reader.ReadU64(&window_size) ||
-      !reader.ReadU8(&policy) ||
-      (with_shard_count && !reader.ReadU32(&shard_count))) {
+      !reader.ReadU8(&policy) || !reader.ReadU32(&shard_count)) {
     return false;
   }
   if (cache_capacity != options_.cache_capacity ||
@@ -555,23 +532,27 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     return false;
   }
 
-  // Decode every shard fully before touching live state, so malformed
-  // input leaves this cache unchanged.
+  // Decode every shard fully, and register every key — the map is derived
+  // data too — before touching live state, so malformed input, or two
+  // records sharing a key (Save never writes them: Insert keeps one copy
+  // of each key), leave this cache unchanged.
   struct StagedShard {
     std::vector<std::shared_ptr<CachedQuery>> entries;
     std::vector<std::shared_ptr<CachedQuery>> window;
   };
   std::vector<StagedShard> staged(shards_.size());
-  for (StagedShard& stage : staged) {
+  std::unordered_map<std::string, Hit> canonical_index;
+  for (size_t s = 0; s < shards_.size(); ++s) {
     for (std::vector<std::shared_ptr<CachedQuery>>* records :
-         {&stage.entries, &stage.window}) {
+         {&staged[s].entries, &staged[s].window}) {
       uint64_t count = 0;
       if (!reader.ReadU64(&count)) return false;
       records->reserve(static_cast<size_t>(std::min<uint64_t>(count, 1024)));
       for (uint64_t i = 0; i < count; ++i) {
         auto record = std::make_shared<CachedQuery>();
-        if (!LoadCachedQuery(reader, record.get(), num_graphs,
-                             with_canonical)) {
+        if (!LoadCachedQuery(reader, record.get(), num_graphs) ||
+            !canonical_index.try_emplace(record->canonical, Hit{s, record})
+                 .second) {
           return false;
         }
         records->push_back(std::move(record));
@@ -579,20 +560,16 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     }
   }
 
-  // Derive every record's probe data (it is not persisted), shadow-rebuild
-  // each shard's probe index (§5.2), and register every key — the map is
-  // derived data too — in shard order, flushed before window, the first
-  // copy of a key winning. Load requires quiescence; the locks below only
-  // keep stragglers correct.
+  // Derive every record's probe data (it is not persisted) and
+  // shadow-rebuild each shard's probe index (§5.2). Load requires
+  // quiescence; the locks below only keep stragglers correct.
   Timer timer;
-  std::unordered_map<std::string, Hit> canonical_index;
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (std::vector<std::shared_ptr<CachedQuery>>* records :
          {&staged[s].entries, &staged[s].window}) {
       for (const std::shared_ptr<CachedQuery>& record : *records) {
         record->probe =
             MakeProbeData(record->graph, ExtractFeatures(record->graph));
-        canonical_index.try_emplace(record->canonical, Hit{s, record});
       }
     }
     ProbeIndex fresh_index(enumerator_options_);

@@ -234,31 +234,30 @@ class ShardedQueryCache {
   std::vector<CachedQuery> Entries() const;
 
   /// Serializes the complete behavioral state: every shard's entries
-  /// (graph, canonical key, answer, §5.1 metadata) and window (Itemp), the
-  /// query/id counters, the geometry, and `num_graphs` and `dataset_crc`
-  /// (size and content fingerprint of the dataset the answers refer to, see
-  /// snapshot::DatasetFingerprint). The probe index and the entries' probe
-  /// data are NOT serialized — they are derived data, rebuilt on load per
-  /// §5.2. Takes shared locks + credit mutexes, so it is safe against
-  /// concurrent probes and credits; concurrent Insert/flush make the
-  /// snapshot a valid but arbitrary cut — quiesce first for a meaningful
-  /// one.
+  /// (graph, answer, §5.1 metadata) and window (Itemp), the query/id
+  /// counters, the geometry, and `num_graphs` and `dataset_crc` (size and
+  /// content fingerprint of the dataset the answers refer to, see
+  /// snapshot::DatasetFingerprint). The canonical keys, the probe index and
+  /// the entries' probe data are NOT serialized — they are derived data,
+  /// rebuilt on load per §5.2. Takes shared locks + credit mutexes, so it
+  /// is safe against concurrent probes and credits; concurrent Insert/flush
+  /// make the snapshot a valid but arbitrary cut — quiesce first for a
+  /// meaningful one.
   void Save(snapshot::BinaryWriter& writer, uint64_t num_graphs,
             uint32_t dataset_crc) const;
 
-  /// Restores state saved by Save(), derives every entry's probe data from
-  /// its graph, and rebuilds every shard's probe index; a cache restored
-  /// this way replays a query stream with the same hits, prunes, and
-  /// replacement victims as the one that produced the snapshot.
-  /// `with_shard_count` false reads the older one-shard layout (no shard
-  /// count; docs/FORMATS.md, section 1), which only a one-shard cache
-  /// accepts. Returns false — leaving this cache unchanged — on malformed
-  /// input, a dataset size or content-fingerprint mismatch (answer ids are
-  /// also bounds-checked against `num_graphs`), or a snapshot taken under
-  /// different geometry (path_max_edges, capacity, window, shard count, or
-  /// policy). NOT thread-safe: no other call may run concurrently.
+  /// Restores state saved by Save(), derives every entry's canonical key
+  /// and probe data from its graph, and rebuilds every shard's probe index;
+  /// a cache restored this way replays a query stream with the same hits,
+  /// prunes, and replacement victims as the one that produced the snapshot.
+  /// Returns false — leaving this cache unchanged — on malformed input, two
+  /// records with one canonical key, a dataset size or content-fingerprint
+  /// mismatch (answer ids are also bounds-checked against `num_graphs`), or
+  /// a snapshot taken under different geometry (path_max_edges, capacity,
+  /// window, shard count, or policy). NOT thread-safe: no other call may
+  /// run concurrently.
   bool Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
-            uint32_t dataset_crc, bool with_shard_count = true);
+            uint32_t dataset_crc);
 
  private:
   /// One shard: a slice of Igraphs with its own locks and probe index.
@@ -294,11 +293,10 @@ class ShardedQueryCache {
   /// which queries it holds. Global because the shard hash is structural,
   /// not isomorphism-invariant: two isomorphic copies of a query generally
   /// land in different shards, so a per-shard map could not answer "is an
-  /// isomorph cached anywhere?" in one lookup. Insert keeps keys unique;
-  /// only a snapshot from an older build can hold two isomorphs, and then
-  /// the first registered copy owns the key until its eviction. Lock
-  /// order: a shard's `mutex` before this map's lock; lookups take the map
-  /// lock alone.
+  /// isomorph cached anywhere?" in one lookup. One key names one entry:
+  /// Insert drops a query whose key is registered, and Load rejects a
+  /// snapshot holding two records with one key. Lock order: a shard's
+  /// `mutex` before this map's lock; lookups take the map lock alone.
   std::unordered_map<std::string, Hit> canonical_index_;
   mutable std::shared_mutex canonical_mutex_;
   std::atomic<uint64_t> queries_processed_{0};

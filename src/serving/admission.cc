@@ -20,8 +20,9 @@ AdmissionController::Result AdmissionController::Admit(uint64_t cost,
     const bool admitted = control.Wait(lock, capacity_cv_, fits);
     --waiters_;
     if (!admitted) {
-      ++expired_in_queue_;
-      return Result::kDeadline;
+      ++(control.reason() == StopReason::kCancelled ? cancelled_in_queue_
+                                                     : expired_in_queue_);
+      return Result::kStopped;
     }
   }
   ++admitted_;
@@ -43,6 +44,7 @@ AdmissionController::Stats AdmissionController::snapshot() const {
   stats.admitted = admitted_;
   stats.shed = shed_;
   stats.expired_in_queue = expired_in_queue_;
+  stats.cancelled_in_queue = cancelled_in_queue_;
   stats.inflight_cost = inflight_cost_;
   stats.waiters = waiters_;
   return stats;

@@ -26,13 +26,14 @@ class AdmissionController {
   enum class Result : uint8_t {
     kAdmitted = 0,
     kShed,      // queue full (or shedding preferred) — caller rejects
-    kDeadline,  // the query stopped (deadline or cancel) while queued
+    kStopped,   // the query stopped while queued (control.reason() says why)
   };
 
   struct Stats {
     uint64_t admitted = 0;
     uint64_t shed = 0;
-    uint64_t expired_in_queue = 0;
+    uint64_t expired_in_queue = 0;    // stopped by its deadline while queued
+    uint64_t cancelled_in_queue = 0;  // stopped by its cancel flag while queued
     uint64_t inflight_cost = 0;
     size_t waiters = 0;
   };
@@ -66,6 +67,7 @@ class AdmissionController {
   uint64_t admitted_ = 0;
   uint64_t shed_ = 0;
   uint64_t expired_in_queue_ = 0;
+  uint64_t cancelled_in_queue_ = 0;
 };
 
 /// RAII admission slot: releases the admitted cost on destruction.

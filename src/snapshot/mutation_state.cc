@@ -26,9 +26,8 @@ void WriteMutationState(BinaryWriter& writer, const GraphDatabase& db) {
   for (GraphId id : db.tombstones) writer.WriteU32(id);
 }
 
-bool ValidateMutationState(BinaryReader& reader, const GraphDatabase& db,
-                           uint64_t* epoch, size_t* num_tombstones,
-                           std::string* error, SnapshotErrorKind* kind) {
+bool ReadMutationEpoch(BinaryReader& reader, uint64_t* epoch,
+                       std::string* error, SnapshotErrorKind* kind) {
   uint32_t version = 0;
   if (!reader.ReadU32(&version)) {
     SetError(error, "mutation-state section is truncated");
@@ -40,8 +39,20 @@ bool ValidateMutationState(BinaryReader& reader, const GraphDatabase& db,
     SetKind(kind, SnapshotErrorKind::kVersionSkew);
     return false;
   }
+  if (!reader.ReadU64(epoch)) {
+    SetError(error, "mutation-state section is truncated");
+    SetKind(kind, SnapshotErrorKind::kCorrupt);
+    return false;
+  }
+  return true;
+}
+
+bool ValidateMutationState(BinaryReader& reader, const GraphDatabase& db,
+                           uint64_t* epoch, size_t* num_tombstones,
+                           std::string* error, SnapshotErrorKind* kind) {
   uint64_t stamped_epoch = 0, count = 0;
-  if (!reader.ReadU64(&stamped_epoch) || !reader.ReadU64(&count)) {
+  if (!ReadMutationEpoch(reader, &stamped_epoch, error, kind)) return false;
+  if (!reader.ReadU64(&count)) {
     SetError(error, "mutation-state section is truncated");
     SetKind(kind, SnapshotErrorKind::kCorrupt);
     return false;

@@ -22,9 +22,16 @@ class BinaryWriter;
 /// Serializes `db`'s mutation state: u32 payload version, u64 epoch,
 /// u64 tombstone count, then the tombstone ids (u32 each, strictly
 /// ascending). Only written when the database has ever mutated
-/// (mutation_epoch != 0) — never-mutated snapshots stay byte-identical to
-/// the pre-mutation format.
+/// (mutation_epoch != 0); a snapshot without it is of epoch 0.
 void WriteMutationState(BinaryWriter& writer, const GraphDatabase& db);
+
+/// Reads the leading fields of a WriteMutationState payload — the payload
+/// version, which must be the current one, and the epoch — and leaves the
+/// reader at the tombstone count. Returns false, filling `error` when
+/// non-null, on truncation (kCorrupt in `kind`) or an unknown payload
+/// version (kVersionSkew).
+bool ReadMutationEpoch(BinaryReader& reader, uint64_t* epoch,
+                       std::string* error, SnapshotErrorKind* kind = nullptr);
 
 /// Parses a WriteMutationState payload and validates it against `db`.
 /// Returns false — filling `error` when non-null — on malformed bytes, an

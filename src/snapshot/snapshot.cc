@@ -162,5 +162,32 @@ bool ReadSection(std::istream& in, Section* section, std::string* error,
   return true;
 }
 
+bool ReadSnapshot(std::istream& in, SnapshotSections* sections,
+                  std::string* error, SnapshotErrorKind* kind) {
+  *sections = SnapshotSections{};
+  if (!ReadSnapshotHeader(in, error, kind)) return false;
+  for (;;) {
+    Section section;
+    if (!ReadSection(in, &section, error, kind)) return false;
+    if (section.id == kSectionEnd) break;
+    if (section.id == kSectionCache) {
+      sections->cache = std::move(section.payload);
+    } else if (section.id == kSectionMethodIndex) {
+      sections->method_index = std::move(section.payload);
+    } else if (section.id == kSectionMutationState) {
+      sections->mutation_state = std::move(section.payload);
+    }
+  }
+  // The end marker itself carries no checksum, so a section id corrupted
+  // into 0 would silently drop the file's tail — require EOF behind it.
+  if (in.peek() != std::char_traits<char>::eof()) {
+    SetError(error, "corrupt snapshot: trailing bytes after the end marker");
+    SetKind(kind, SnapshotErrorKind::kCorrupt);
+    return false;
+  }
+  SetKind(kind, SnapshotErrorKind::kNone);
+  return true;
+}
+
 }  // namespace snapshot
 }  // namespace igq

@@ -1,10 +1,10 @@
 // The iGQ snapshot container format (docs/FORMATS.md): a fixed header
 // (magic + format version) followed by a sequence of checksummed sections
 // and a terminating end marker. Sections carry opaque payloads — the cache
-// state produced by ShardedQueryCache::Save() and the method index produced
-// by Method::SaveIndex() — so the container can evolve (new section ids)
-// without breaking old readers, and a reader can skip sections it does not
-// understand.
+// state produced by ShardedQueryCache::Save(), the method index produced
+// by Method::SaveIndex() and the mutation state — so the container can
+// evolve (new section ids) without breaking old readers, and a reader can
+// skip sections it does not understand. ReadSnapshot is the one reader.
 //
 // Every section's payload is read fully into memory and its CRC-32
 // verified *before* any payload parsing happens; corrupted or truncated
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 namespace igq {
@@ -22,12 +23,11 @@ namespace snapshot {
 /// First bytes of every snapshot file: 'I' 'G' 'Q' 'S'.
 inline constexpr uint8_t kSnapshotMagic[4] = {'I', 'G', 'Q', 'S'};
 /// Container format version; bumped on any incompatible layout change.
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Known section ids. kSectionEnd terminates the file and has no payload.
 enum SectionId : uint32_t {
   kSectionEnd = 0,
-  kSectionOneShardCache = 1,  // read-only: older sequential engines' cache
   kSectionMethodIndex = 2,    // method name + Method::SaveIndex() payload
   kSectionCache = 3,          // ShardedQueryCache::Save() payload
   kSectionMutationState = 4,  // mutation epoch + dataset tombstones
@@ -41,6 +41,14 @@ inline constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 31;
 struct Section {
   uint32_t id = kSectionEnd;
   std::string payload;
+};
+
+/// The checksum-verified payloads of a snapshot's known sections, each
+/// present only when the file carries that section.
+struct SnapshotSections {
+  std::optional<std::string> cache;           // kSectionCache
+  std::optional<std::string> method_index;    // kSectionMethodIndex
+  std::optional<std::string> mutation_state;  // kSectionMutationState
 };
 
 /// Broad classification of why a snapshot was rejected, for callers that
@@ -88,6 +96,16 @@ bool ReadSnapshotHeader(std::istream& in, std::string* error,
 /// (all kCorrupt in `kind`).
 bool ReadSection(std::istream& in, Section* section, std::string* error,
                  SnapshotErrorKind* kind = nullptr);
+
+/// Reads a whole snapshot file: the header, then every section through the
+/// end marker, each checksum-verified (ReadSection), then requires EOF
+/// behind the end marker. Unknown section ids are skipped — they are
+/// verified data, not corruption — and a later copy of a known id replaces
+/// an earlier one. Parses no payload. Returns false on any failure, with
+/// `error` and `kind` filled as by ReadSnapshotHeader and ReadSection
+/// (trailing bytes are kCorrupt).
+bool ReadSnapshot(std::istream& in, SnapshotSections* sections,
+                  std::string* error, SnapshotErrorKind* kind = nullptr);
 
 }  // namespace snapshot
 }  // namespace igq

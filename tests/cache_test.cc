@@ -484,28 +484,26 @@ TEST(QueryCacheTest, ProbeDataMatchesEnumeration) {
     for (const Graph& g : graphs) cache.Insert(g, {});
     ExpectProbeDataMatchesEnumeration(cache, options, "two-argument Insert");
   }
-  // Snapshot payloads carry no probe data; Load derives it from the graphs,
-  // for both record versions (1: no canonical key, 2: with it).
-  for (uint32_t version : {1u, 2u}) {
+  // Snapshot payloads carry no probe data; Load derives it from the graphs.
+  {
     std::ostringstream payload;
     snapshot::BinaryWriter writer(payload);
-    testing::WriteCacheHeader(writer, version, options, /*num_graphs=*/10,
+    testing::WriteCacheHeader(writer, options, /*num_graphs=*/10,
                               /*dataset_crc=*/0x5eed,
                               /*queries_processed=*/20,
                               /*next_id=*/10);
-    const std::vector<GraphId> answer{static_cast<GraphId>(version)};
+    const std::vector<GraphId> answer{3};
     writer.WriteU64(8);  // flushed entries
     for (uint64_t i = 0; i < 10; ++i) {
       if (i == 8) writer.WriteU64(2);  // window (Itemp) entries
-      testing::WriteRecord(writer, version, i, graphs[i], answer, {});
+      testing::WriteRecord(writer, i, graphs[i], answer, {});
     }
     ASSERT_TRUE(writer.ok());
     ShardedQueryCache cache(options, /*universe=*/10);
     std::istringstream in(payload.str());
     snapshot::BinaryReader reader(in);
-    ASSERT_TRUE(cache.Load(reader, 10, 0x5eed, /*with_shard_count=*/false));
-    ExpectProbeDataMatchesEnumeration(
-        cache, options, "Load of version " + std::to_string(version));
+    ASSERT_TRUE(cache.Load(reader, 10, 0x5eed));
+    ExpectProbeDataMatchesEnumeration(cache, options, "Load");
   }
 }
 

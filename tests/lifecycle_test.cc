@@ -247,12 +247,13 @@ TEST(AdmissionTest, DeadlineExpiresInQueue) {
   control.Arm(budget, nullptr);
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(admission.Admit(5, control),
-            AdmissionController::Result::kDeadline);
+            AdmissionController::Result::kStopped);
   const auto waited = std::chrono::steady_clock::now() - start;
   EXPECT_LT(waited, std::chrono::seconds(5));  // bounded, not hung
   EXPECT_TRUE(control.stopped());
   EXPECT_EQ(control.reason(), StopReason::kDeadline);
   EXPECT_EQ(admission.snapshot().expired_in_queue, 1u);
+  EXPECT_EQ(admission.snapshot().cancelled_in_queue, 0u);
   admission.Release(9);
 }
 
@@ -671,6 +672,11 @@ TEST(LifecycleConcurrentTest, CancelReachesParkedQueriesBeforeTheirDeadline) {
     EXPECT_TRUE(parked.answer.empty());
     // The parked query never ran the pipeline.
     EXPECT_EQ(engine.pipeline_executions(), 1u);
+    if (admission) {
+      // Counted as what stopped it: a cancellation, not an expiry.
+      EXPECT_EQ(engine.admission_stats().cancelled_in_queue, 1u);
+      EXPECT_EQ(engine.admission_stats().expired_in_queue, 0u);
+    }
   }
 }
 

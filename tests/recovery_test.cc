@@ -20,6 +20,7 @@
 #include "igq/engine.h"
 #include "igq/mutation.h"
 #include "methods/registry.h"
+#include "snapshot/snapshot.h"
 #include "tests/state_diff.h"
 #include "tests/test_util.h"
 
@@ -476,6 +477,22 @@ TEST(SnapshotInspection, PeekSnapshotEpochReadsTheEpoch) {
   EXPECT_FALSE(PeekSnapshotEpoch(snapshot.substr(0, snapshot.size() / 2),
                                  &epoch, &error));
   EXPECT_FALSE(PeekSnapshotEpoch("", &epoch, &error));
+
+  // So does a checksum-valid snapshot whose mutation-state payload carries
+  // an unknown payload version.
+  std::istringstream in(snapshot);
+  igq::snapshot::SnapshotSections sections;
+  ASSERT_TRUE(igq::snapshot::ReadSnapshot(in, &sections, &error)) << error;
+  ASSERT_TRUE(sections.cache && sections.mutation_state);
+  (*sections.mutation_state)[0] = 99;  // u32 payload version, little-endian
+  std::ostringstream skewed;
+  igq::snapshot::WriteSnapshotHeader(skewed);
+  igq::snapshot::WriteSection(skewed, igq::snapshot::kSectionCache,
+                              *sections.cache);
+  igq::snapshot::WriteSection(skewed, igq::snapshot::kSectionMutationState,
+                              *sections.mutation_state);
+  igq::snapshot::WriteSnapshotEnd(skewed);
+  EXPECT_FALSE(PeekSnapshotEpoch(std::move(skewed).str(), &epoch, &error));
 }
 
 TEST(SnapshotInspection, LoadSnapshotClassifiesFailures) {

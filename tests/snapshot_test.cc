@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "features/canonical.h"
 #include "igq/engine.h"
 #include "igq/mutation.h"
 #include "igq/sharded_cache.h"
@@ -820,7 +819,7 @@ TEST(SnapshotRejectionTest, MutationSectionCorruptionSwept) {
   EXPECT_TRUE(clean.LoadSnapshot(stream, &error)) << error;
 }
 
-// ---- Canonical-key persistence (record version 2 + v1 fallback). ----
+// ---- Cache state: derived keys, one key per entry, one format. ----
 
 IgqOptions OneShardOptions(size_t capacity, size_t window) {
   IgqOptions options;
@@ -861,8 +860,8 @@ TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
   snapshot::BinaryReader reader(in);
   ASSERT_TRUE(restored.Load(reader, 20, 0xABCD));
 
-  // The stored keys survive byte-identically, and the rebuilt map resolves
-  // each of them to its entry's answer.
+  // Load derives every key again, byte-identical to the saved cache's, and
+  // the rebuilt map resolves each of them to its entry's answer.
   const std::vector<CachedQuery> entries = cache.Entries();
   const std::vector<CachedQuery> restored_entries = restored.Entries();
   ASSERT_EQ(restored_entries.size(), entries.size());
@@ -876,133 +875,13 @@ TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
   }
 }
 
-TEST(CacheStateTest, Version1PayloadLoadsByRecomputingCanonicalKeys) {
-  // A hand-built version-1 section-1 payload — the exact pre-key layout, no
-  // canonical string in the records — must still load, with the keys
-  // recomputed from the graphs so the fast path works on old snapshots.
-  const IgqOptions validated = OneShardOptions(8, 2);
-
-  std::ostringstream payload;
-  snapshot::BinaryWriter writer(payload);
-  testing::WriteCacheHeader(writer, /*version=*/1, validated,
-                            /*num_graphs=*/10, /*dataset_crc=*/0x1234,
-                            /*queries_processed=*/5, /*next_id=*/2);
-  const Graph a = testing::PathGraph({1, 2, 3});
-  const Graph b = testing::Triangle(4, 4, 4);
-  writer.WriteU64(2);  // flushed entries
-  const std::vector<GraphId> answer_a{1, 4};
-  const std::vector<GraphId> answer_b{2};
-  testing::WriteRecord(writer, 1, 0, a, answer_a, {});
-  testing::WriteRecord(writer, 1, 1, b, answer_b, {});
-  writer.WriteU64(0);  // empty window
-  ASSERT_TRUE(writer.ok());
-
-  ShardedQueryCache cache(validated, /*universe=*/10);
-  std::istringstream in(payload.str());
-  snapshot::BinaryReader reader(in);
-  ASSERT_TRUE(cache.Load(reader, 10, 0x1234, /*with_shard_count=*/false));
-  ASSERT_EQ(cache.size(), 2u);
-  const std::vector<CachedQuery> entries = cache.Entries();
-  EXPECT_EQ(entries[0].canonical, GraphCanonicalCode(a));
-  EXPECT_EQ(entries[1].canonical, GraphCanonicalCode(b));
-
-  // The recomputed keys are live in the map: an isomorphic copy (the same
-  // path written from the other end) resolves to the restored entry.
-  const Graph reversed = testing::PathGraph({3, 2, 1});
-  std::vector<GraphId> answer;
-  EXPECT_TRUE(ExactHit(cache, GraphCanonicalCode(reversed), &answer));
-  EXPECT_EQ(answer, answer_a);
-}
-
-TEST(CacheStateTest, OneShardSectionSnapshotLoadsIntoQueryEngine) {
-  // A snapshot as older builds' sequential engine wrote it: the cache state
-  // in section 1, payload version 2, no shard count. It must restore into
-  // QueryEngine with its entries, answers, window, and §5.1 metadata.
-  const GraphDatabase db = MakeDb(83, 16);
-  auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
-  method->Build(db);
-  const IgqOptions options = OneShardOptions(8, 3);
-
-  Rng rng(84);
-  std::vector<Graph> graphs;
-  std::vector<std::vector<GraphId>> answers;
-  std::vector<QueryGraphMetadata> metas;
-  for (uint64_t i = 0; i < 3; ++i) {
-    graphs.push_back(RandomSubgraphOf(rng, db.graphs[i], 4 + i));
-    answers.push_back(BruteForceSubgraphAnswer(db.graphs, graphs.back()));
-    QueryGraphMetadata meta;
-    meta.hits = i + 1;
-    meta.inserted_at = i;
-    meta.removed_candidates = 10 * (i + 1);
-    meta.cost_saved = LogValue::FromLinear(1000.0 * static_cast<double>(i + 1));
-    meta.last_hit_at = 4 + i;
-    metas.push_back(meta);
-  }
-  std::ostringstream payload;
-  {
-    snapshot::BinaryWriter writer(payload);
-    testing::WriteCacheHeader(writer, /*version=*/2, options,
-                              db.graphs.size(),
-                              snapshot::DatasetFingerprint(db.graphs),
-                              /*queries_processed=*/9, /*next_id=*/3);
-    writer.WriteU64(2);  // flushed entries
-    testing::WriteRecord(writer, 2, 0, graphs[0], answers[0], metas[0]);
-    testing::WriteRecord(writer, 2, 1, graphs[1], answers[1], metas[1]);
-    writer.WriteU64(1);  // one window (Itemp) entry
-    testing::WriteRecord(writer, 2, 2, graphs[2], answers[2], metas[2]);
-    ASSERT_TRUE(writer.ok());
-  }
-  std::stringstream file;
-  snapshot::WriteSnapshotHeader(file);
-  snapshot::WriteSection(file, snapshot::kSectionOneShardCache, payload.str());
-  snapshot::WriteSnapshotEnd(file);
-
-  QueryEngine engine(db, method.get(), options);
-  std::string error;
-  SnapshotLoadInfo info;
-  ASSERT_TRUE(engine.LoadSnapshot(file, &error, &info)) << error;
-  EXPECT_FALSE(info.method_index_restored);
-  EXPECT_EQ(info.cached_queries, 2u);
-  EXPECT_EQ(engine.cache().size(), 2u);
-  EXPECT_EQ(engine.cache().window_fill(), 1u);
-  EXPECT_EQ(engine.cache().queries_processed(), 9u);
-  const std::vector<CachedQuery> entries = engine.cache().Entries();
-  ASSERT_EQ(entries.size(), 3u);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].id, i);
-    EXPECT_EQ(entries[i].graph, graphs[i]) << "entry " << i;
-    EXPECT_EQ(entries[i].canonical, GraphCanonicalCode(graphs[i]));
-    EXPECT_EQ(entries[i].answer.ToVector(), answers[i]) << "entry " << i;
-    EXPECT_EQ(entries[i].meta.hits, metas[i].hits);
-    EXPECT_EQ(entries[i].meta.inserted_at, metas[i].inserted_at);
-    EXPECT_EQ(entries[i].meta.removed_candidates,
-              metas[i].removed_candidates);
-    EXPECT_EQ(entries[i].meta.cost_saved.log(), metas[i].cost_saved.log());
-    EXPECT_EQ(entries[i].meta.last_hit_at, metas[i].last_hit_at);
-  }
-
-  // The restored window entry answers its repeat as an exact hit.
-  QueryStats stats;
-  EXPECT_EQ(engine.Process(graphs[2], &stats), answers[2]);
-  EXPECT_EQ(stats.shortcut, ShortcutKind::kExactHit);
-
-  // A cache of more than one shard cannot take the one-shard layout.
-  IgqOptions sharded = options;
-  sharded.cache_shards = 2;
-  ShardedQueryCache two_shards(ValidatedIgqOptions(sharded), db.graphs.size());
-  std::istringstream in(payload.str());
-  snapshot::BinaryReader reader(in);
-  EXPECT_FALSE(two_shards.Load(reader, db.graphs.size(),
-                               snapshot::DatasetFingerprint(db.graphs),
-                               /*with_shard_count=*/false));
-}
-
-TEST(CacheStateTest, ForgedCanonicalKeyRejected) {
-  // A checksum-valid cache section whose one record holds the path 1-2 and
-  // its answer {0}. Stored with its own key it loads; stored with the key
-  // of the path 7-8 it must be rejected — trusting that key would answer
-  // 7-8 with {0} although only graph 1 contains it — and the engine's
-  // cache must stay untouched.
+TEST(CacheStateTest, DuplicateKeysAndOlderFormatsRejected) {
+  // Load derives every record's key, and one key names one entry. A
+  // checksum-valid snapshot whose one record is the path 1-2 with its
+  // answer {0} loads. The same path written from both ends — two records,
+  // one key, which Save never writes because Insert keeps one copy of each
+  // key — is rejected, as are files of any other container or cache-state
+  // version; each rejection leaves the engine's cache untouched.
   GraphDatabase db;
   db.graphs.push_back(testing::PathGraph({1, 2}));
   db.graphs.push_back(testing::PathGraph({7, 8}));
@@ -1010,43 +889,71 @@ TEST(CacheStateTest, ForgedCanonicalKeyRejected) {
   auto method = MethodRegistry::Create(QueryDirection::kSubgraph, "ggsx");
   method->Build(db);
   const IgqOptions options = OneShardOptions(8, 2);
-  const Graph cached = testing::PathGraph({1, 2});
-  const Graph forged = testing::PathGraph({7, 8});
+  const Graph path = testing::PathGraph({1, 2});
+  const Graph reversed = testing::PathGraph({2, 1});
+  const std::vector<GraphId> expected =
+      BruteForceSubgraphAnswer(db.graphs, reversed);
+  ASSERT_EQ(expected, std::vector<GraphId>{0});
 
-  auto snapshot_with_key = [&](const std::string& key) {
+  // A snapshot whose cache section holds `records` (flushed, each answered
+  // by `expected`) under cache-state version `version`.
+  auto snapshot_of = [&](const std::vector<Graph>& records,
+                         uint8_t version) {
     std::ostringstream payload;
     snapshot::BinaryWriter writer(payload);
-    testing::WriteCacheHeader(writer, /*version=*/2, options, db.graphs.size(),
+    testing::WriteCacheHeader(writer, options, db.graphs.size(),
                               snapshot::DatasetFingerprint(db.graphs),
-                              /*queries_processed=*/1, /*next_id=*/1,
-                              /*shard_count=*/1);
-    writer.WriteU64(1);  // flushed entries
-    const std::vector<GraphId> answer{0};
-    testing::WriteRecord(writer, 2, 0, cached, answer, {}, key);
+                              /*queries_processed=*/1,
+                              /*next_id=*/records.size());
+    writer.WriteU64(records.size());  // flushed entries
+    for (size_t i = 0; i < records.size(); ++i) {
+      testing::WriteRecord(writer, i, records[i], expected, {});
+    }
     writer.WriteU64(0);  // empty window
     EXPECT_TRUE(writer.ok());
+    std::string bytes = std::move(payload).str();
+    bytes[0] = static_cast<char>(version);  // u32 version, little-endian
     std::stringstream file;
     snapshot::WriteSnapshotHeader(file);
-    snapshot::WriteSection(file, snapshot::kSectionCache, payload.str());
+    snapshot::WriteSection(file, snapshot::kSectionCache, bytes);
     snapshot::WriteSnapshotEnd(file);
     return file.str();
   };
+  auto expect_rejected = [&](const std::string& bytes, const char* label) {
+    QueryEngine engine(db, method.get(), options);
+    std::istringstream in(bytes);
+    std::string error;
+    SnapshotLoadInfo info;
+    EXPECT_FALSE(engine.LoadSnapshot(in, &error, &info)) << label;
+    EXPECT_FALSE(error.empty()) << label;
+    EXPECT_EQ(engine.cache().size(), 0u) << label;
+    EXPECT_EQ(engine.cache().window_fill(), 0u) << label;
+    EXPECT_EQ(engine.Process(reversed), expected) << label;
+    return info.error_kind;
+  };
 
+  const std::string valid = snapshot_of({path}, 3);
   {
     QueryEngine engine(db, method.get(), options);
-    std::istringstream in(snapshot_with_key(GraphCanonicalCode(cached)));
+    std::istringstream in(valid);
     std::string error;
     ASSERT_TRUE(engine.LoadSnapshot(in, &error)) << error;
     EXPECT_EQ(engine.cache().size(), 1u);
+    // The derived key is live: the isomorph is an exact hit.
+    QueryStats stats;
+    EXPECT_EQ(engine.Process(reversed, &stats), expected);
+    EXPECT_EQ(stats.shortcut, ShortcutKind::kExactHit);
   }
-  QueryEngine engine(db, method.get(), options);
-  std::istringstream in(snapshot_with_key(GraphCanonicalCode(forged)));
-  EXPECT_FALSE(engine.LoadSnapshot(in));
-  EXPECT_EQ(engine.cache().size(), 0u);
-  const std::vector<GraphId> expected =
-      BruteForceSubgraphAnswer(db.graphs, forged);
-  ASSERT_EQ(expected, std::vector<GraphId>{1});
-  EXPECT_EQ(engine.Process(forged), expected);
+
+  expect_rejected(snapshot_of({path, reversed}, 3), "two records, one key");
+
+  std::string old_container = valid;
+  old_container[4] = 1;  // container version u32 follows the magic
+  EXPECT_EQ(expect_rejected(old_container, "container version 1"),
+            snapshot::SnapshotErrorKind::kVersionSkew);
+
+  expect_rejected(snapshot_of({path}, 2), "cache-state version 2");
+  expect_rejected(snapshot_of({path}, 4), "cache-state version 4");
 }
 
 }  // namespace
