@@ -132,11 +132,12 @@ void AppendJsonString(std::string* out, const std::string& value) {
 
 }  // namespace
 
-BenchJson::BenchJson(const Flags& flags, const std::string& bench_name)
+BenchJson::BenchJson(const Flags& flags, const std::string& bench_name,
+                     const std::string& default_file)
     : bench_name_(bench_name) {
   if (!flags.Has("json")) return;
   const std::string value = flags.GetString("json", "1");
-  path_ = value == "1" ? "BENCH_filtering.json" : value;
+  path_ = value == "1" ? default_file : value;
 }
 
 void BenchJson::AddRow(

@@ -85,15 +85,18 @@ double Speedup(double baseline, double improved);
 /// this run's parameters.
 void PrintHeader(const std::string& figure, const std::string& description);
 
-/// Machine-readable bench output, opted into with `--json[=path]` (default
-/// path: BENCH_filtering.json in the working directory). Collects flat
-/// key→value rows and writes `{"bench": ..., "rows": [...]}` when
-/// destroyed; values that parse as numbers are emitted as JSON numbers.
-/// Disabled (every call a no-op) when the flag is absent, so benches can
-/// call AddRow unconditionally.
+/// Machine-readable bench output, opted into with `--json[=path]`; a bare
+/// `--json` writes `default_file` in the working directory — each bench
+/// passes its own (its committed BENCH_*.json baseline, or
+/// BENCH_<bench name>.json when it has none), so no bench overwrites
+/// another's. Collects flat key→value rows and writes
+/// `{"bench": ..., "rows": [...]}` when destroyed; values that parse as
+/// numbers are emitted as JSON numbers. Disabled (every call a no-op) when
+/// the flag is absent, so benches can call AddRow unconditionally.
 class BenchJson {
  public:
-  BenchJson(const Flags& flags, const std::string& bench_name);
+  BenchJson(const Flags& flags, const std::string& bench_name,
+            const std::string& default_file);
   ~BenchJson();
 
   bool enabled() const { return !path_.empty(); }

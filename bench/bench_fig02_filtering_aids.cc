@@ -30,7 +30,7 @@ int Main(int argc, char** argv) {
   TablePrinter table;
   table.SetHeader({"method", "avg candidates", "avg answers",
                    "avg false positives", "FP ratio %"});
-  BenchJson json(flags, "fig02_filtering_aids");
+  BenchJson json(flags, "fig02_filtering_aids", "BENCH_filtering.json");
   for (const std::string& name :
        MethodRegistry::Known(QueryDirection::kSubgraph)) {
     if (name == "grapes6") continue;  // same filter as grapes

@@ -30,7 +30,8 @@ int Main(int argc, char** argv) {
   TablePrinter table;
   table.SetHeader({"method", "avg candidates", "avg answers",
                    "avg false positives", "FP ratio %"});
-  BenchJson json(flags, "fig03_filtering_pdbs");
+  BenchJson json(flags, "fig03_filtering_pdbs",
+                 "BENCH_fig03_filtering_pdbs.json");
   for (const std::string& name :
        MethodRegistry::Known(QueryDirection::kSubgraph)) {
     if (name == "grapes6") continue;

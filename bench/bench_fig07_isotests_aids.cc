@@ -5,7 +5,8 @@
 int main(int argc, char** argv) {
   const igq::bench::Flags flags(argc, argv);
   igq::bench::RunWorkloadsByMethodsFigure(
-      "Figure 7 — Speedup in #Isomorphism Tests (AIDS)", "aids",
+      "Figure 7 — Speedup in #Isomorphism Tests (AIDS)",
+      "BENCH_fig07.json", "aids",
       igq::bench::Metric::kIsoTests, flags, /*default_queries=*/2000);
   return 0;
 }

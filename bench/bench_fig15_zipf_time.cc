@@ -5,6 +5,7 @@ int main(int argc, char** argv) {
   const igq::bench::Flags flags(argc, argv);
   igq::bench::RunZipfSweepFigure(
       "Figure 15 — Query Time Speedup vs Zipf α (PDBS/Grapes(6))",
+      "BENCH_fig15.json",
       igq::bench::Metric::kTime, flags);
   return 0;
 }

@@ -6,9 +6,10 @@
 //
 // Also hosts the CI matcher-equivalence gate: `bench_micro_core --smoke`
 // runs no benchmarks; it cross-checks every matching-core entry point
-// against the Ullmann oracle on random instances and asserts the verify
-// hot path is allocation-free in steady state, exiting non-zero on any
-// mismatch (wired into .github/workflows/ci.yml).
+// against the Ullmann oracle on random instances, the pruning core and the
+// counting filters against frozen scalar copies, and asserts the verify,
+// prune and probe hot paths are allocation-free in steady state, exiting
+// non-zero on any mismatch (wired into .github/workflows/ci.yml).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 
 #include "common/id_set.h"
 #include "common/rng.h"
+#include "datasets/profiles.h"
 #include "features/fingerprint.h"
 #include "features/path_enumerator.h"
 #include "graph/algorithms.h"
@@ -31,9 +33,11 @@
 #include "isomorphism/cost_model.h"
 #include "isomorphism/match_core.h"
 #include "methods/feature_count_index.h"
+#include "methods/ggsx.h"
 #include "methods/path_trie.h"
 #include "tests/oracle/ullmann.h"
 #include "tests/oracle/vf2.h"
+#include "tests/scalar_filter_reference.h"
 #include "tests/scalar_prune_reference.h"
 
 // ---------------------------------------------------------------------------
@@ -125,6 +129,7 @@ VerifyBatch MakeVerifyBatch(size_t num_targets, size_t target_vertices) {
 // authoritative copy for both the unit-test oracle and this smoke gate.
 
 using scalar_reference::RandomSortedUniqueIds;
+using scalar_reference::ScalarCountingFilterReference;
 using scalar_reference::ScalarPruneReference;
 
 // A pruning workload shaped like the 10k-graph dataset profile the paper
@@ -641,11 +646,82 @@ int RunSmoke() {
     }
   }
 
+  // 5. Counting-filter equivalence: the containment kernel, through the
+  //    GGSX host filter and through iGQ's Isub probe, must agree with the
+  //    frozen tally on AIDS-like data, and a warmed Isub probe over a
+  //    cache-sized population must not allocate.
+  {
+    AidsLikeParams params;
+    params.num_graphs = 400;
+    GraphDatabase db;
+    db.graphs = MakeAidsLike(params, 4242);
+    db.RefreshLabelCount();
+    GgsxMethod ggsx;
+    ggsx.Build(db);
+    PathEnumeratorOptions popts;
+    popts.max_edges = 4;
+    popts.include_single_vertices = true;
+    Rng frng(97);
+    auto random_query = [&db, &frng](size_t min_edges, size_t spread) {
+      const Graph& host = db.graphs[frng.Below(db.graphs.size())];
+      return BfsNeighborhoodQuery(
+          host, static_cast<VertexId>(frng.Below(host.NumVertices())),
+          min_edges + frng.Below(spread));
+    };
+    FeatureCountIndex isub_index(popts);  // cached queries, as the probe's
+    for (GraphId id = 0; id < 500; ++id) {
+      isub_index.AddGraph(id, random_query(4, 16));
+    }
+    std::vector<PathFeatureCounts> isub_features;
+    size_t host_candidates = 0, isub_candidates = 0;
+    for (size_t round = 0; round < 200; ++round) {
+      const Graph query = random_query(2, 12);
+      const auto prepared = ggsx.Prepare(query);
+      const std::vector<GraphId> host = ggsx.Filter(*prepared);
+      if (host != ScalarCountingFilterReference(
+                      ggsx.trie(),
+                      static_cast<const PathPreparedQuery&>(*prepared)
+                          .features(),
+                      db.graphs.size())) {
+        fail("GGSX host filter disagrees with the frozen tally", round);
+      }
+      host_candidates += host.size();
+      isub_features.push_back(CountPathFeatures(query, popts));
+      std::vector<GraphId> isub;
+      isub_index.FindPotentialSupergraphsOf(isub_features.back(), &isub);
+      if (isub != ScalarCountingFilterReference(isub_index.trie(),
+                                                isub_features.back(),
+                                                isub_index.NumGraphs())) {
+        fail("Isub probe filter disagrees with the frozen tally", round);
+      }
+      isub_candidates += isub.size();
+    }
+    if (host_candidates == 0 || isub_candidates == 0) {
+      fail("degenerate counting-filter workload (no candidates)", 0);
+    }
+    std::vector<GraphId> isub;
+    for (const PathFeatureCounts& features : isub_features) {
+      isub_index.FindPotentialSupergraphsOf(features, &isub);  // warm
+    }
+    const uint64_t isub_before = AllocationsNow();
+    for (const PathFeatureCounts& features : isub_features) {
+      isub_index.FindPotentialSupergraphsOf(features, &isub);
+    }
+    const uint64_t isub_allocs = AllocationsNow() - isub_before;
+    if (isub_allocs != 0) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: steady-state Isub filter performed %llu "
+                   "allocations (expected 0)\n",
+                   static_cast<unsigned long long>(isub_allocs));
+      ++failures;
+    }
+  }
+
   if (failures == 0) {
     std::printf(
         "SMOKE PASS: 120 matcher equivalence rounds x 5 entry points, "
-        "80 IdSet<->scalar pruning rounds, steady-state allocations "
-        "(verify, prune, probes) = 0\n");
+        "80 IdSet<->scalar pruning rounds, 200 counting-filter rounds x "
+        "2 callers, steady-state allocations (verify, prune, probes) = 0\n");
     return 0;
   }
   std::fprintf(stderr, "SMOKE: %d failure(s)\n", failures);

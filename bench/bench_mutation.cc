@@ -219,7 +219,7 @@ int Main(int argc, char** argv) {
               warm_cache_entries, engine_inc.cache().size());
   std::printf("answers identical        : %s\n", identical ? "yes" : "NO");
 
-  BenchJson json(flags, "mutation");
+  BenchJson json(flags, "mutation", "BENCH_mutation.json");
   json.AddRow({{"profile", profile},
                {"method", method_name},
                {"dataset_graphs", std::to_string(db0.graphs.size())},

@@ -64,7 +64,7 @@ int Main(int argc, char** argv) {
               "a mid-script snapshot. Crash at the end; recovery (snapshot + "
               "WAL suffix replay) races a cold rebuild (db-only replay + "
               "full Build). Same final epoch required on every arm.");
-  BenchJson json(flags, "recovery");
+  BenchJson json(flags, "recovery", "BENCH_recovery.json");
 
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(std::filesystem::path(dir) / "wal");

@@ -253,7 +253,7 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(admission.cancelled_in_queue),
               static_cast<unsigned long long>(watermark));
 
-  BenchJson json(flags, "robustness");
+  BenchJson json(flags, "robustness", "BENCH_robustness.json");
   json.AddRow({{"phase", "baseline"},
                {"streams", std::to_string(streams)},
                {"queries", std::to_string(baseline_latencies.size())},

@@ -127,7 +127,7 @@ int Main(int argc, char** argv) {
               static_cast<long long>(snapshot_bytes));
   std::printf("probe answers identical : %s\n", identical ? "yes" : "NO");
 
-  BenchJson json(flags, "warmstart");
+  BenchJson json(flags, "warmstart", "BENCH_warmstart.json");
   json.AddRow({{"rebuild_s", std::to_string(rebuild_seconds)},
                {"load_s", std::to_string(load_seconds)},
                {"snapshot_bytes", std::to_string(snapshot_bytes)},

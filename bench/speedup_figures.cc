@@ -73,6 +73,7 @@ const char* MetricName(Metric metric) {
 }  // namespace
 
 void RunWorkloadsByMethodsFigure(const std::string& figure_name,
+                                 const std::string& json_file,
                                  const std::string& dataset_name,
                                  Metric metric, const Flags& flags,
                                  size_t default_queries) {
@@ -95,7 +96,7 @@ void RunWorkloadsByMethodsFigure(const std::string& figure_name,
 
   TablePrinter table;
   table.SetHeader({"workload", "GGSX", "Grapes", "Grapes(6)", "CT-Index"});
-  BenchJson json(flags, figure_name);
+  BenchJson json(flags, figure_name, json_file);
   std::vector<std::unique_ptr<Method>> methods;
   const auto method_names = MethodRegistry::Known(QueryDirection::kSubgraph);
   for (const std::string& name : method_names) {
@@ -133,7 +134,8 @@ void RunWorkloadsByMethodsFigure(const std::string& figure_name,
   table.Print();
 }
 
-void RunZipfSweepFigure(const std::string& figure_name, Metric metric,
+void RunZipfSweepFigure(const std::string& figure_name,
+                        const std::string& json_file, Metric metric,
                         const Flags& flags) {
   const double scale = flags.GetDouble("scale", 1.0);
   const size_t num_queries = flags.GetSize("queries", 1200);
@@ -152,7 +154,7 @@ void RunZipfSweepFigure(const std::string& figure_name, Metric metric,
 
   TablePrinter table;
   table.SetHeader({"workload", "α=1.1", "α=1.4", "α=2.0"});
-  BenchJson json(flags, figure_name);
+  BenchJson json(flags, figure_name, json_file);
   for (const std::string& workload_name :
        {"uni-zipf", "zipf-uni", "zipf-zipf"}) {
     std::vector<std::string> row{workload_name};

@@ -19,15 +19,18 @@ enum class Metric {
 
 /// Figs 7/8/12/13: for each of the four workloads and each host method,
 /// speedup of iGQ-M over M. kIsoTests needs a single (iGQ) run per cell;
-/// kTime runs baseline and iGQ engines separately.
+/// kTime runs baseline and iGQ engines separately. A bare `--json` writes
+/// `json_file` (see BenchJson); so does RunZipfSweepFigure.
 void RunWorkloadsByMethodsFigure(const std::string& figure_name,
+                                 const std::string& json_file,
                                  const std::string& dataset_name,
                                  Metric metric, const Flags& flags,
                                  size_t default_queries);
 
 /// Figs 9/15: Grapes(6) on PDBS-like data, speedup vs Zipf α for the three
 /// Zipf-driven workloads.
-void RunZipfSweepFigure(const std::string& figure_name, Metric metric,
+void RunZipfSweepFigure(const std::string& figure_name,
+                        const std::string& json_file, Metric metric,
                         const Flags& flags);
 
 /// Figs 10/11/16/17: Grapes(6), zipf-zipf(α), speedup per query-size group

@@ -200,8 +200,6 @@ void IdSetDifference(const IdSet& a, const IdSet& b, IdSet* out,
 class IdSetScratch {
  public:
   std::vector<GraphId>& ids_a() { return ids_a_; }
-  std::vector<GraphId>& ids_b() { return ids_b_; }
-  std::vector<GraphId>& ids_c() { return ids_c_; }
 
   /// Counting-filter tally, resized (and zero-filled) to `universe`.
   std::vector<uint32_t>& Tally(size_t universe) {
@@ -215,8 +213,6 @@ class IdSetScratch {
 
  private:
   std::vector<GraphId> ids_a_;
-  std::vector<GraphId> ids_b_;
-  std::vector<GraphId> ids_c_;
   std::vector<uint32_t> tally_;
 };
 

@@ -148,14 +148,26 @@ bool QueryEngine::LoadSnapshot(std::istream& in, std::string* error,
   snapshot::BinaryReader cache_reader(cache_stream);
   // Same forged-length arming as the mutation section above.
   cache_reader.LimitRemainingBytes(cache_payload_size);
-  if (!fresh_cache->Load(cache_reader, db_->graphs.size(),
-                         snapshot::DatasetFingerprint(db_->graphs))) {
-    SetError(error,
-             "cache section rejected (malformed, saved under different iGQ "
-             "options, or over a different dataset)");
-    // The payload passed its checksum, so the bytes are as written — the
-    // mismatch is with this engine's dataset or configuration.
-    return classify(snapshot::SnapshotErrorKind::kDatasetDivergence);
+  const snapshot::SnapshotErrorKind cache_kind = fresh_cache->Load(
+      cache_reader, db_->graphs.size(),
+      snapshot::DatasetFingerprint(db_->graphs));
+  if (cache_kind != snapshot::SnapshotErrorKind::kNone) {
+    switch (cache_kind) {
+      case snapshot::SnapshotErrorKind::kVersionSkew:
+        SetError(error, "cache section rejected: another cache-state version");
+        break;
+      case snapshot::SnapshotErrorKind::kDatasetDivergence:
+        SetError(error,
+                 "cache section rejected: saved under different iGQ options "
+                 "or over a different dataset");
+        break;
+      default:
+        SetError(error,
+                 "cache section rejected: malformed records, or two records "
+                 "with one canonical key");
+        break;
+    }
+    return classify(cache_kind);
   }
   // An under-counted record count would leave unread bytes behind — the
   // same silent data loss the container guards against everywhere else.

@@ -492,44 +492,37 @@ void ShardedQueryCache::Save(snapshot::BinaryWriter& writer,
   }
 }
 
-bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
-                             uint64_t num_graphs, uint32_t dataset_crc) {
+snapshot::SnapshotErrorKind ShardedQueryCache::Load(
+    snapshot::BinaryReader& reader, uint64_t num_graphs,
+    uint32_t dataset_crc) {
+  using snapshot::SnapshotErrorKind;
   uint32_t version = 0, path_max_edges = 0;
-  if (!reader.ReadU32(&version) || version != kCacheStateVersion) {
-    return false;
-  }
-  if (!reader.ReadU32(&path_max_edges) ||
-      path_max_edges != options_.path_max_edges) {
-    return false;
-  }
-  // Geometry must match in full: capacity/window drive flush cadence and
-  // eviction counts, the policy picks victims, and the shard count decides
-  // both graph placement and the per-shard slices.
+  if (!reader.ReadU32(&version)) return SnapshotErrorKind::kCorrupt;
+  if (version != kCacheStateVersion) return SnapshotErrorKind::kVersionSkew;
+  // Geometry must match in full: the enumerator's path length decides the
+  // probe features, capacity/window drive flush cadence and eviction
+  // counts, the policy picks victims, and the shard count decides both
+  // graph placement and the per-shard slices.
   uint64_t cache_capacity = 0, window_size = 0;
   uint8_t policy = 0;
   uint32_t shard_count = 0;
-  if (!reader.ReadU64(&cache_capacity) || !reader.ReadU64(&window_size) ||
-      !reader.ReadU8(&policy) || !reader.ReadU32(&shard_count)) {
-    return false;
-  }
-  if (cache_capacity != options_.cache_capacity ||
-      window_size != options_.window_size ||
-      policy != static_cast<uint8_t>(options_.replacement_policy) ||
-      shard_count != shards_.size()) {
-    return false;
-  }
   uint64_t stamped_num_graphs = 0;
   uint32_t stamped_crc = 0;
-  if (!reader.ReadU64(&stamped_num_graphs) ||
-      stamped_num_graphs != num_graphs) {
-    return false;
-  }
-  if (!reader.ReadU32(&stamped_crc) || stamped_crc != dataset_crc) {
-    return false;
-  }
   uint64_t queries_processed = 0, next_id = 0;
-  if (!reader.ReadU64(&queries_processed) || !reader.ReadU64(&next_id)) {
-    return false;
+  if (!reader.ReadU32(&path_max_edges) || !reader.ReadU64(&cache_capacity) ||
+      !reader.ReadU64(&window_size) || !reader.ReadU8(&policy) ||
+      !reader.ReadU32(&shard_count) || !reader.ReadU64(&stamped_num_graphs) ||
+      !reader.ReadU32(&stamped_crc) || !reader.ReadU64(&queries_processed) ||
+      !reader.ReadU64(&next_id)) {
+    return SnapshotErrorKind::kCorrupt;
+  }
+  if (path_max_edges != options_.path_max_edges ||
+      cache_capacity != options_.cache_capacity ||
+      window_size != options_.window_size ||
+      policy != static_cast<uint8_t>(options_.replacement_policy) ||
+      shard_count != shards_.size() || stamped_num_graphs != num_graphs ||
+      stamped_crc != dataset_crc) {
+    return SnapshotErrorKind::kDatasetDivergence;
   }
 
   // Decode every shard fully, and register every key — the map is derived
@@ -546,14 +539,14 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
     for (std::vector<std::shared_ptr<CachedQuery>>* records :
          {&staged[s].entries, &staged[s].window}) {
       uint64_t count = 0;
-      if (!reader.ReadU64(&count)) return false;
+      if (!reader.ReadU64(&count)) return SnapshotErrorKind::kCorrupt;
       records->reserve(static_cast<size_t>(std::min<uint64_t>(count, 1024)));
       for (uint64_t i = 0; i < count; ++i) {
         auto record = std::make_shared<CachedQuery>();
         if (!LoadCachedQuery(reader, record.get(), num_graphs) ||
             !canonical_index.try_emplace(record->canonical, Hit{s, record})
                  .second) {
-          return false;
+          return SnapshotErrorKind::kCorrupt;
         }
         records->push_back(std::move(record));
       }
@@ -588,7 +581,7 @@ bool ShardedQueryCache::Load(snapshot::BinaryReader& reader,
   next_id_.store(next_id);
   maintenance_micros_.fetch_add(timer.ElapsedMicros(),
                                 std::memory_order_relaxed);
-  return true;
+  return SnapshotErrorKind::kNone;
 }
 
 }  // namespace igq

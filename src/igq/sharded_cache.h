@@ -57,6 +57,7 @@
 #include "igq/options.h"
 #include "igq/probe_index.h"
 #include "igq/query_record.h"
+#include "snapshot/snapshot.h"
 
 namespace igq {
 namespace snapshot {
@@ -250,14 +251,16 @@ class ShardedQueryCache {
   /// and probe data from its graph, and rebuilds every shard's probe index;
   /// a cache restored this way replays a query stream with the same hits,
   /// prunes, and replacement victims as the one that produced the snapshot.
-  /// Returns false — leaving this cache unchanged — on malformed input, two
-  /// records with one canonical key, a dataset size or content-fingerprint
-  /// mismatch (answer ids are also bounds-checked against `num_graphs`), or
-  /// a snapshot taken under different geometry (path_max_edges, capacity,
-  /// window, shard count, or policy). NOT thread-safe: no other call may
+  /// Returns kNone on success. Any other kind leaves this cache unchanged:
+  /// kVersionSkew for a cache-state version other than this build's;
+  /// kDatasetDivergence for a snapshot taken under different geometry
+  /// (path_max_edges, capacity, window, shard count, or policy) or over a
+  /// dataset of another size or content fingerprint; kCorrupt for
+  /// malformed bytes, an answer id out of range or out of order, or two
+  /// records with one canonical key. NOT thread-safe: no other call may
   /// run concurrently.
-  bool Load(snapshot::BinaryReader& reader, uint64_t num_graphs,
-            uint32_t dataset_crc);
+  snapshot::SnapshotErrorKind Load(snapshot::BinaryReader& reader,
+                                   uint64_t num_graphs, uint32_t dataset_crc);
 
  private:
   /// One shard: a slice of Igraphs with its own locks and probe index.

@@ -70,34 +70,10 @@ void FeatureCountIndex::FindPotentialSubgraphsOf(
 void FeatureCountIndex::FindPotentialSupergraphsOf(
     const PathFeatureCounts& query_features, std::vector<GraphId>* out) const {
   // A candidate must contain every query feature at least as often as the
-  // query does (the counting filter the host path methods use). Postings
-  // are appended in ascending graph id, so each feature's eligible list is
-  // sorted and the running set narrows through the galloping intersect
-  // kernel; the two swapped-in buffers are this thread's scratch.
-  out->clear();
-  IdSetScratch& scratch = IdSetScratch::ThreadLocal();
-  std::vector<GraphId>& eligible = scratch.ids_b();
-  std::vector<GraphId>& merged = scratch.ids_c();
-  bool first = true;
-  for (const auto& [key, query_count] : query_features) {
-    const std::vector<PathPosting>* postings = trie_.Find(key);
-    if (postings == nullptr) {
-      out->clear();
-      return;
-    }
-    eligible.clear();
-    for (const PathPosting& posting : *postings) {
-      if (posting.count >= query_count) eligible.push_back(posting.graph_id);
-    }
-    if (first) {
-      std::swap(*out, eligible);  // O(1) buffer exchange
-      first = false;
-    } else {
-      IntersectSorted(*out, eligible, &merged);
-      std::swap(*out, merged);
-    }
-    if (out->empty()) return;
-  }
+  // query does: the host path methods' counting filter, run by the same
+  // kernel over the cached queries' postings.
+  trie_.FindContainingAll(query_features, nf_.size(), /*control=*/nullptr,
+                          out);
 }
 
 size_t FeatureCountIndex::MemoryBytes() const {

@@ -65,14 +65,14 @@ class FeatureCountIndex {
   /// (cleared first) with the ids of indexed graphs that may be
   /// supergraphs of the query — each holds every query feature at least as
   /// often as the query does. No false negatives; a featureless query
-  /// yields none. Candidates come back sorted ascending. The running set
-  /// narrows through the calling thread's IdSetScratch ids_b/ids_c (so
-  /// `out` must be neither of them), performing zero heap allocations in
-  /// steady state.
+  /// yields none. Candidates come back sorted ascending. This is the host
+  /// path methods' filter kernel (PathTrie::FindContainingAll), performing
+  /// zero heap allocations in steady state.
   void FindPotentialSupergraphsOf(const PathFeatureCounts& query_features,
                                   std::vector<GraphId>* out) const;
 
   size_t NumGraphs() const { return num_indexed_; }
+  const PathTrie& trie() const { return trie_; }
   size_t MemoryBytes() const;
   const PathEnumeratorOptions& options() const { return options_; }
 

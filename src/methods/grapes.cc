@@ -1,6 +1,5 @@
 #include "methods/grapes.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "isomorphism/match_core.h"
@@ -45,15 +44,7 @@ bool GrapesMethod::Verify(const PreparedQuery& prepared, GraphId id) const {
   for (const auto& [key, query_count] : pq.features()) {
     (void)query_count;
     if (PathKeyLength(key) < 2) continue;  // single-vertex features dilute
-    const std::vector<PathPosting>* postings = trie().Find(key);
-    if (postings == nullptr) continue;
-    // Postings are sorted by graph id (built in ascending order).
-    auto it = std::lower_bound(postings->begin(), postings->end(), id,
-                               [](const PathPosting& p, GraphId g) {
-                                 return p.graph_id < g;
-                               });
-    if (it == postings->end() || it->graph_id != id) continue;
-    for (VertexId v : it->locations) {
+    for (VertexId v : trie().Locations(key, id)) {
       if (!scratch.covered[v]) {
         scratch.covered[v] = 1;
         ++covered_count;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/id_set.h"
-#include "serving/budget.h"
 #include "snapshot/serializer.h"
 
 namespace igq {
@@ -15,7 +14,10 @@ namespace {
 /// Payload version of the serialized path-method index.
 constexpr uint32_t kPathIndexVersion = 1;
 
-// Per-graph aggregation buffer: feature -> (count, locations).
+// Per-graph aggregation buffer: feature -> (count, locations). The
+// enumerator walks start vertices in ascending order, so skipping a start
+// equal to the last one keeps each location list sorted and unique, and
+// PathTrie::Add stores it without sorting.
 struct FeatureAggregate {
   uint32_t count = 0;
   std::vector<VertexId> locations;
@@ -30,7 +32,10 @@ GraphFeatureMap AggregateGraph(const Graph& graph,
                  [&features, keep_locations](PathKey key, VertexId start) {
                    FeatureAggregate& agg = features[key];
                    ++agg.count;
-                   if (keep_locations) agg.locations.push_back(start);
+                   if (keep_locations && (agg.locations.empty() ||
+                                          agg.locations.back() != start)) {
+                     agg.locations.push_back(start);
+                   }
                  });
   return features;
 }
@@ -170,30 +175,12 @@ std::vector<GraphId> PathMethodBase::Filter(
     return DropTombstoned(*db_, std::move(all));
   }
 
-  // Counting intersection: each feature contributes at most one tally per
-  // graph, so a graph is a candidate iff its tally equals the number of
-  // distinct query features. One pass over the postings; the tally array
-  // is this thread's reusable scratch (Filter runs concurrently across
-  // serving streams, so the scratch must be thread-local, never a member).
-  std::vector<uint32_t>& matched =
-      IdSetScratch::ThreadLocal().Tally(db_->graphs.size());
-  serving::QueryControl* control = prepared.control();
-  for (const auto& [key, query_count] : features) {
-    // Budget checkpoint between feature postings-chunks; the engine treats
-    // a stopped filter's candidates as garbage, so returning the partial
-    // tally is fine.
-    if (control != nullptr && control->CheckNow()) return {};
-    const std::vector<PathPosting>* postings = trie_.Find(key);
-    if (postings == nullptr) return {};  // feature absent from every graph
-    for (const PathPosting& posting : *postings) {
-      if (posting.count >= query_count) ++matched[posting.graph_id];
-    }
-  }
-  const uint32_t required = static_cast<uint32_t>(features.size());
+  // Counting filter through the trie's containment kernel (rarest list
+  // first; polls the query's control between lists, and a stopped filter's
+  // candidates come back empty — the engine treats them as garbage).
   std::vector<GraphId> candidates;
-  for (GraphId id = 0; id < matched.size(); ++id) {
-    if (matched[id] == required) candidates.push_back(id);
-  }
+  trie_.FindContainingAll(features, db_->graphs.size(), prepared.control(),
+                          &candidates);
   // Removed graphs may still hold postings (OnRemoveGraph leaves the trie
   // untouched); subtract them here so the incremental index answers exactly
   // as a fresh Build would.

@@ -13,18 +13,20 @@
 #include "graph/graph.h"
 
 namespace igq {
+namespace serving {
+class QueryControl;
+}  // namespace serving
 namespace snapshot {
 class BinaryReader;
 class BinaryWriter;
 }  // namespace snapshot
 
-/// Posting for one (feature, graph) pair.
+/// Posting for one (feature, graph) pair: 8 bytes, so a feature's postings
+/// are one dense array the containment kernel streams through.
 struct PathPosting {
   uint32_t graph_id = 0;
   /// Number of directed instances of the feature in the graph.
   uint32_t count = 0;
-  /// Start vertices of the instances (only if the trie stores locations).
-  std::vector<VertexId> locations;
 };
 
 /// Label trie; each node corresponds to a canonical path prefix and holds
@@ -35,16 +37,36 @@ class PathTrie {
   explicit PathTrie(bool store_locations = false)
       : store_locations_(store_locations) {
     nodes_.emplace_back();
+    if (store_locations_) locations_.emplace_back();
   }
 
   /// Adds `count` instances of feature `key` for `graph_id`, with optional
-  /// instance start `locations` (ignored unless location storage is on).
-  /// Postings for a given key must be added in nondecreasing graph_id order.
+  /// instance start `locations` (stored sorted and deduplicated; ignored
+  /// unless location storage is on). Postings for a given key must be added
+  /// in increasing graph_id order.
   void Add(PathKey key, uint32_t graph_id, uint32_t count,
            const std::vector<VertexId>* locations = nullptr);
 
-  /// Postings of `key`, or nullptr if the feature is absent.
+  /// Postings of `key`, ascending by graph id, or nullptr if the feature is
+  /// absent.
   const std::vector<PathPosting>* Find(PathKey key) const;
+
+  /// Start vertices (sorted, unique) of `graph_id`'s instances of `key`;
+  /// empty when the trie stores no locations or `graph_id` has no posting
+  /// for `key`.
+  std::span<const VertexId> Locations(PathKey key, uint32_t graph_id) const;
+
+  /// The containment kernel behind every counting filter: fills `out`
+  /// (cleared first; capacity reused) with the ids, ascending, of the
+  /// graphs holding every feature of `features` at least as often as
+  /// `features` counts it. Every posting id must lie below `universe`. A
+  /// featureless query yields no ids: what an empty pattern matches is the
+  /// caller's rule. `control` (may be null) is polled between posting
+  /// lists; a stopped query leaves `out` empty. Steady-state calls perform
+  /// no heap allocation beyond growing `out`.
+  void FindContainingAll(const PathFeatureCounts& features, size_t universe,
+                         serving::QueryControl* control,
+                         std::vector<GraphId>* out) const;
 
   /// Number of distinct features stored.
   size_t NumFeatures() const { return num_features_; }
@@ -78,12 +100,22 @@ class PathTrie {
     std::vector<std::pair<Label, uint32_t>> children;
     std::vector<PathPosting> postings;
   };
+  /// One node's location info, kept apart from Node so that tries without
+  /// locations pay nothing for it: posting i's start vertices are
+  /// starts[ends[i-1], ends[i]), with ends[-1] read as 0.
+  struct NodeLocations {
+    std::vector<uint32_t> ends;
+    std::vector<VertexId> starts;
+  };
 
   uint32_t DescendOrCreate(PathKey key);
   int64_t DescendConst(PathKey key) const;
+  std::span<const VertexId> PostingLocations(size_t node, size_t index) const;
 
   bool store_locations_;
   std::vector<Node> nodes_;
+  /// Parallel to nodes_ when store_locations_, empty otherwise.
+  std::vector<NodeLocations> locations_;
   size_t num_features_ = 0;
 };
 

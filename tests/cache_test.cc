@@ -502,7 +502,7 @@ TEST(QueryCacheTest, ProbeDataMatchesEnumeration) {
     ShardedQueryCache cache(options, /*universe=*/10);
     std::istringstream in(payload.str());
     snapshot::BinaryReader reader(in);
-    ASSERT_TRUE(cache.Load(reader, 10, 0x5eed));
+    ASSERT_EQ(cache.Load(reader, 10, 0x5eed), snapshot::SnapshotErrorKind::kNone);
     ExpectProbeDataMatchesEnumeration(cache, options, "Load");
   }
 }

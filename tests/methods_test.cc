@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "methods/ct_index.h"
 #include "methods/feature_count_index.h"
@@ -11,6 +15,8 @@
 #include "methods/grapes.h"
 #include "methods/path_trie.h"
 #include "methods/registry.h"
+#include "serving/budget.h"
+#include "snapshot/serializer.h"
 #include "tests/test_util.h"
 
 namespace igq {
@@ -51,6 +57,9 @@ TEST(PathTrieTest, FindMissingReturnsNull) {
 }
 
 TEST(PathTrieTest, PostingsStoredPerGraph) {
+  // A posting is the 8-byte {graph_id, count} pair; a feature's postings
+  // are one array, ascending by graph id.
+  static_assert(sizeof(PathPosting) == 8);
   PathTrie trie;
   trie.Add(PackPathKey({1, 2}), 0, 3);
   trie.Add(PackPathKey({1, 2}), 4, 7);
@@ -60,16 +69,33 @@ TEST(PathTrieTest, PostingsStoredPerGraph) {
   EXPECT_EQ((*postings)[0].graph_id, 0u);
   EXPECT_EQ((*postings)[0].count, 3u);
   EXPECT_EQ((*postings)[1].graph_id, 4u);
+  EXPECT_EQ((*postings)[1].count, 7u);
 }
 
 TEST(PathTrieTest, LocationsDedupedAndSorted) {
   PathTrie trie(/*store_locations=*/true);
+  const PathKey key = PackPathKey({0, 0});
   std::vector<VertexId> locations{5, 2, 5, 1};
-  trie.Add(PackPathKey({0, 0}), 0, 4, &locations);
-  const auto* postings = trie.Find(PackPathKey({0, 0}));
-  ASSERT_NE(postings, nullptr);
+  trie.Add(key, 0, 4, &locations);
+  std::vector<VertexId> more{9, 3, 3};
+  trie.Add(key, 2, 3, &more);
+  trie.Add(key, 5, 1);  // no locations given: an empty span
+  // Each posting reads its own span of the node's one location array.
   const std::vector<VertexId> expected{1, 2, 5};
-  EXPECT_EQ((*postings)[0].locations, expected);
+  const std::span<const VertexId> first = trie.Locations(key, 0);
+  EXPECT_EQ(std::vector<VertexId>(first.begin(), first.end()), expected);
+  const std::span<const VertexId> second = trie.Locations(key, 2);
+  EXPECT_EQ(std::vector<VertexId>(second.begin(), second.end()),
+            (std::vector<VertexId>{3, 9}));
+  EXPECT_TRUE(trie.Locations(key, 5).empty());
+  EXPECT_TRUE(trie.Locations(key, 1).empty());  // no posting for graph 1
+  EXPECT_TRUE(trie.Locations(PackPathKey({0, 1}), 0).empty());  // absent key
+
+  // A trie without location storage ignores them.
+  PathTrie plain;
+  plain.Add(key, 0, 4, &locations);
+  EXPECT_TRUE(plain.Locations(key, 0).empty());
+  EXPECT_NE(plain.Find(key), nullptr);
 }
 
 TEST(PathTrieTest, SharedPrefixesShareNodes) {
@@ -87,6 +113,235 @@ TEST(PathTrieTest, MemoryBytesPositive) {
   const size_t empty_bytes = trie.MemoryBytes();
   trie.Add(PackPathKey({1, 2, 3}), 0, 1);
   EXPECT_GT(trie.MemoryBytes(), empty_bytes);
+}
+
+// Little-endian appenders for hand-written expected Save bytes, written
+// without BinaryWriter so the pinned encoding is independent of it.
+void AppendU32(std::string* out, uint32_t value) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(value >> (8 * i)));
+}
+void AppendU64(std::string* out, uint64_t value) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(value >> (8 * i)));
+}
+
+std::string SaveBytes(const PathTrie& trie) {
+  std::ostringstream out;
+  snapshot::BinaryWriter writer(out);
+  trie.Save(writer);
+  EXPECT_TRUE(writer.ok());
+  return std::move(out).str();
+}
+
+TEST(PathTrieTest, LocationsSurviveSaveLoadInTheDocumentedEncoding) {
+  PathTrie trie(/*store_locations=*/true);
+  const std::vector<VertexId> a{2, 0, 2}, b{1}, c{1, 0};
+  trie.Add(PackPathKey({3}), 0, 2, &c);     // node 1
+  trie.Add(PackPathKey({3, 4}), 0, 3, &a);  // node 2
+  trie.Add(PackPathKey({3, 4}), 2, 1, &b);
+  const std::string bytes = SaveBytes(trie);
+
+  // docs/FORMATS.md, "Trie encoding".
+  std::string expected;
+  expected.push_back(1);       // store_locations
+  AppendU64(&expected, 3);     // root, [3], [3 4]
+  for (uint32_t word : {1, 3, 1, 0}) {  // root: child 3 -> node 1; no postings
+    AppendU32(&expected, word);
+  }
+  // [3]: child 4 -> node 2; posting (graph 0, count 2, locations {0, 1})
+  for (uint32_t word : {1, 4, 2, 1, 0, 2, 2, 0, 1}) AppendU32(&expected, word);
+  // [3 4]: no children; postings (0, 3, {0, 2}) and (2, 1, {1})
+  for (uint32_t word : {0, 2, 0, 3, 2, 0, 2, 2, 1, 1, 1}) {
+    AppendU32(&expected, word);
+  }
+  EXPECT_EQ(bytes, expected);
+
+  const std::vector<Graph> graphs(3, testing::Triangle());
+  PathTrie loaded;
+  std::istringstream in(bytes);
+  snapshot::BinaryReader reader(in);
+  ASSERT_TRUE(loaded.Load(reader, 3, std::span<const Graph>(graphs)));
+  EXPECT_TRUE(loaded.store_locations());
+  EXPECT_EQ(loaded.NumFeatures(), 2u);
+  auto locations = [&loaded](PathKey key, GraphId id) {
+    const std::span<const VertexId> span = loaded.Locations(key, id);
+    return std::vector<VertexId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(locations(PackPathKey({3}), 0), (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(locations(PackPathKey({3, 4}), 0), (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(locations(PackPathKey({3, 4}), 2), (std::vector<VertexId>{1}));
+  EXPECT_EQ(SaveBytes(loaded), bytes);
+}
+
+// ---- The containment kernel (PathTrie::FindContainingAll). ----
+
+// Per-branch tallies of the kernel's rules, replayed on the brute-force
+// running sets: a dense seed (IdSet::WantsBitmap) tallies every list;
+// otherwise each later list is galloped when more than IdSet::kGallopSkew
+// times longer than the running set and merge-walked when not.
+struct KernelBranches {
+  size_t tally = 0;
+  size_t gallop = 0;
+  size_t merge = 0;
+  size_t absent = 0;
+  size_t featureless = 0;
+};
+
+TEST(ContainmentKernelTest, MatchesBruteForceOnSkewedTries) {
+  constexpr size_t kFeatures = 24;
+  auto key_of = [](size_t f) {
+    return PackPathKey({static_cast<Label>(f), 40});  // already canonical
+  };
+  const PathKey absent_key = PackPathKey({60, 60});
+  KernelBranches reached;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const size_t universe = 1024 + rng.Below(1024);
+    // Feature f is held by lengths[f] graphs, falling geometrically from
+    // every graph to a handful and pairwise distinct, so the rarest list
+    // of any query is unique; counts[f][g] is f's count in g (0: none).
+    std::vector<size_t> lengths(kFeatures);
+    std::vector<std::vector<uint32_t>> counts(
+        kFeatures, std::vector<uint32_t>(universe, 0));
+    std::vector<GraphId> ids(universe);
+    for (size_t f = 0; f < kFeatures; ++f) {
+      size_t length = std::max<size_t>(
+          static_cast<size_t>(static_cast<double>(universe) * std::pow(0.7, f)),
+          kFeatures - f);
+      if (f > 0) length = std::min(length, lengths[f - 1] - 1);
+      lengths[f] = length;
+      for (size_t g = 0; g < universe; ++g) ids[g] = static_cast<GraphId>(g);
+      for (size_t i = 0; i < length; ++i) {  // partial Fisher-Yates
+        std::swap(ids[i], ids[i + rng.Below(universe - i)]);
+        counts[f][ids[i]] = 1 + static_cast<uint32_t>(rng.Below(4));
+      }
+    }
+    PathTrie trie;
+    for (size_t g = 0; g < universe; ++g) {
+      for (size_t f = 0; f < kFeatures; ++f) {
+        if (counts[f][g] > 0) {
+          trie.Add(key_of(f), static_cast<GraphId>(g), counts[f][g]);
+        }
+      }
+    }
+
+    // `terms` are (feature, min count) pairs; kFeatures stands for a
+    // feature no graph holds.
+    auto check = [&](const std::vector<std::pair<size_t, uint32_t>>& terms) {
+      PathFeatureCounts query;
+      bool absent = false;
+      for (const auto& [f, q] : terms) {
+        query[f == kFeatures ? absent_key : key_of(f)] = q;
+        absent = absent || f == kFeatures;
+      }
+      std::vector<GraphId> expected;
+      if (!terms.empty() && !absent) {
+        for (size_t g = 0; g < universe; ++g) {
+          bool all = true;
+          for (const auto& [f, q] : terms) all = all && counts[f][g] >= q;
+          if (all) expected.push_back(static_cast<GraphId>(g));
+        }
+      }
+      std::vector<GraphId> got{7};  // stale contents must be cleared
+      trie.FindContainingAll(query, universe, /*control=*/nullptr, &got);
+      EXPECT_EQ(got, expected) << "seed " << seed;
+
+      if (terms.empty()) {
+        ++reached.featureless;
+        return;
+      }
+      if (absent) {
+        ++reached.absent;
+        return;
+      }
+      std::vector<std::pair<size_t, uint32_t>> by_length = terms;
+      std::sort(by_length.begin(), by_length.end(),
+                [&lengths](const auto& x, const auto& y) {
+                  return lengths[x.first] < lengths[y.first];
+                });
+      std::vector<GraphId> running;
+      for (size_t g = 0; g < universe; ++g) {
+        if (counts[by_length[0].first][g] >= std::max(1u, by_length[0].second)) {
+          running.push_back(static_cast<GraphId>(g));
+        }
+      }
+      if (IdSet::WantsBitmap(running.size(), universe)) {
+        ++reached.tally;
+        return;
+      }
+      for (size_t t = 1; t < by_length.size() && !running.empty(); ++t) {
+        const auto [f, q] = by_length[t];
+        if (lengths[f] > running.size() * IdSet::kGallopSkew) {
+          ++reached.gallop;
+        } else {
+          ++reached.merge;
+        }
+        std::erase_if(running, [&, f = f, q = q](GraphId g) {
+          return counts[f][g] < std::max(1u, q);
+        });
+      }
+    };
+
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::pair<size_t, uint32_t>> terms;
+      const size_t num_terms = 1 + rng.Below(5);
+      for (size_t t = 0; t < num_terms; ++t) {
+        const size_t f = rng.Below(kFeatures);
+        bool repeated = false;
+        for (const auto& term : terms) repeated = repeated || term.first == f;
+        if (repeated) continue;
+        const uint32_t q =
+            rng.Below(4) == 0 ? 2 + static_cast<uint32_t>(rng.Below(3)) : 1;
+        terms.emplace_back(f, q);
+      }
+      if (rng.Below(10) == 0) terms.emplace_back(kFeatures, 1);
+      check(terms);
+    }
+    // One query per branch by construction: lengths[f] ~ universe * 0.7^f.
+    check({{0, 1}, {1, 1}});    // seed ~70% of the universe: tally
+    check({{12, 1}, {0, 1}});   // seed ~1.4%, next list ~70x longer: gallop
+    check({{10, 1}, {11, 1}});  // ~2.8% vs ~2%: merge-walk
+    check({{0, 1}, {kFeatures, 1}});
+    check({});
+  }
+  EXPECT_GT(reached.tally, 0u);
+  EXPECT_GT(reached.gallop, 0u);
+  EXPECT_GT(reached.merge, 0u);
+  EXPECT_GT(reached.absent, 0u);
+  EXPECT_GT(reached.featureless, 0u);
+}
+
+TEST(ContainmentKernelTest, FeaturelessQueryPerCaller) {
+  GraphDatabase db = MakeSmallDb(5, 6);
+  // Isub: a featureless query has no cached supergraph candidates.
+  FeatureCountIndex index;
+  for (GraphId id = 0; id < db.graphs.size(); ++id) {
+    index.AddGraph(id, db.graphs[id]);
+  }
+  std::vector<GraphId> isub{3};
+  index.FindPotentialSupergraphsOf(PathFeatureCounts{}, &isub);
+  EXPECT_TRUE(isub.empty());
+  // The host filter: an empty query is contained in every live graph.
+  ASSERT_TRUE(db.RemoveGraph(2));
+  GgsxMethod ggsx;
+  ggsx.Build(db);
+  const auto prepared = ggsx.Prepare(Graph{});
+  EXPECT_EQ(ggsx.Filter(*prepared), (std::vector<GraphId>{0, 1, 3, 4, 5}));
+}
+
+TEST(ContainmentKernelTest, CancelledControlEmptiesHostFilter) {
+  GraphDatabase db = MakeSmallDb(42);
+  GgsxMethod ggsx;
+  ggsx.Build(db);
+  Rng rng(3);
+  const Graph query = RandomSubgraphOf(rng, db.graphs[0], 5);
+  const auto prepared = ggsx.Prepare(query);
+  serving::CancelSource cancel;
+  serving::QueryControl control;
+  control.Arm(serving::QueryBudget{}, cancel.flag());
+  prepared->set_control(&control);
+  EXPECT_FALSE(ggsx.Filter(*prepared).empty());  // armed, not yet cancelled
+  cancel.RequestCancel();
+  EXPECT_TRUE(ggsx.Filter(*prepared).empty());
 }
 
 // ---- Parameterized correctness over all registered methods. ----

@@ -858,7 +858,8 @@ TEST(CacheStateTest, RoundTripPreservesCanonicalKeys) {
   ShardedQueryCache restored(validated, /*universe=*/20);
   std::istringstream in(payload.str());
   snapshot::BinaryReader reader(in);
-  ASSERT_TRUE(restored.Load(reader, 20, 0xABCD));
+  ASSERT_EQ(restored.Load(reader, 20, 0xABCD),
+            snapshot::SnapshotErrorKind::kNone);
 
   // Load derives every key again, byte-identical to the saved cache's, and
   // the rebuilt map resolves each of them to its entry's answer.
@@ -880,8 +881,10 @@ TEST(CacheStateTest, DuplicateKeysAndOlderFormatsRejected) {
   // checksum-valid snapshot whose one record is the path 1-2 with its
   // answer {0} loads. The same path written from both ends — two records,
   // one key, which Save never writes because Insert keeps one copy of each
-  // key — is rejected, as are files of any other container or cache-state
-  // version; each rejection leaves the engine's cache untouched.
+  // key — is rejected as corrupt, as is a malformed answer; files of any
+  // other container or cache-state version are version skew, and a cache
+  // of another geometry or dataset is divergence. Each rejection leaves
+  // the engine's cache untouched.
   GraphDatabase db;
   db.graphs.push_back(testing::PathGraph({1, 2}));
   db.graphs.push_back(testing::PathGraph({7, 8}));
@@ -895,24 +898,35 @@ TEST(CacheStateTest, DuplicateKeysAndOlderFormatsRejected) {
       BruteForceSubgraphAnswer(db.graphs, reversed);
   ASSERT_EQ(expected, std::vector<GraphId>{0});
 
-  // A snapshot whose cache section holds `records` (flushed, each answered
-  // by `expected`) under cache-state version `version`.
-  auto snapshot_of = [&](const std::vector<Graph>& records,
-                         uint8_t version) {
+  // A cache section as a cache of `geometry` over a dataset of
+  // `num_graphs` graphs writes it under cache-state `version`: `records`
+  // flushed, each answered by `answer`, `crc_flip` flipping bits of the
+  // stamped dataset fingerprint, and the last `cut` bytes dropped.
+  struct CacheSection {
+    std::vector<Graph> records;
+    uint8_t version = 3;
+    IgqOptions geometry = OneShardOptions(8, 2);
+    uint64_t num_graphs = 2;
+    uint32_t crc_flip = 0;
+    std::vector<GraphId> answer = {0};
+    size_t cut = 0;
+  };
+  const uint32_t crc = snapshot::DatasetFingerprint(db.graphs);
+  auto snapshot_of = [crc](const CacheSection& section) {
     std::ostringstream payload;
     snapshot::BinaryWriter writer(payload);
-    testing::WriteCacheHeader(writer, options, db.graphs.size(),
-                              snapshot::DatasetFingerprint(db.graphs),
-                              /*queries_processed=*/1,
-                              /*next_id=*/records.size());
-    writer.WriteU64(records.size());  // flushed entries
-    for (size_t i = 0; i < records.size(); ++i) {
-      testing::WriteRecord(writer, i, records[i], expected, {});
+    testing::WriteCacheHeader(writer, section.geometry, section.num_graphs,
+                              crc ^ section.crc_flip, /*queries_processed=*/1,
+                              /*next_id=*/section.records.size());
+    writer.WriteU64(section.records.size());  // flushed entries
+    for (size_t i = 0; i < section.records.size(); ++i) {
+      testing::WriteRecord(writer, i, section.records[i], section.answer, {});
     }
     writer.WriteU64(0);  // empty window
     EXPECT_TRUE(writer.ok());
     std::string bytes = std::move(payload).str();
-    bytes[0] = static_cast<char>(version);  // u32 version, little-endian
+    bytes[0] = static_cast<char>(section.version);  // u32, little-endian
+    bytes.resize(bytes.size() - section.cut);
     std::stringstream file;
     snapshot::WriteSnapshotHeader(file);
     snapshot::WriteSection(file, snapshot::kSectionCache, bytes);
@@ -932,7 +946,7 @@ TEST(CacheStateTest, DuplicateKeysAndOlderFormatsRejected) {
     return info.error_kind;
   };
 
-  const std::string valid = snapshot_of({path}, 3);
+  const std::string valid = snapshot_of({.records = {path}});
   {
     QueryEngine engine(db, method.get(), options);
     std::istringstream in(valid);
@@ -945,15 +959,44 @@ TEST(CacheStateTest, DuplicateKeysAndOlderFormatsRejected) {
     EXPECT_EQ(stats.shortcut, ShortcutKind::kExactHit);
   }
 
-  expect_rejected(snapshot_of({path, reversed}, 3), "two records, one key");
+  using snapshot::SnapshotErrorKind;
+  const SnapshotErrorKind corrupt = SnapshotErrorKind::kCorrupt;
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path, reversed}}),
+                            "two records, one key"),
+            corrupt);
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path}, .answer = {5}}),
+                            "answer id past the dataset"),
+            corrupt);
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path}, .answer = {0, 0}}),
+                            "answer ids out of order"),
+            corrupt);
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path}, .cut = 12}),
+                            "truncated record"),
+            corrupt);
 
   std::string old_container = valid;
   old_container[4] = 1;  // container version u32 follows the magic
   EXPECT_EQ(expect_rejected(old_container, "container version 1"),
-            snapshot::SnapshotErrorKind::kVersionSkew);
+            SnapshotErrorKind::kVersionSkew);
+  for (uint8_t version : {2, 4}) {
+    EXPECT_EQ(expect_rejected(
+                  snapshot_of({.records = {path}, .version = version}),
+                  "another cache-state version"),
+              SnapshotErrorKind::kVersionSkew)
+        << "version " << int{version};
+  }
 
-  expect_rejected(snapshot_of({path}, 2), "cache-state version 2");
-  expect_rejected(snapshot_of({path}, 4), "cache-state version 4");
+  const SnapshotErrorKind divergence = SnapshotErrorKind::kDatasetDivergence;
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path},
+                                         .geometry = OneShardOptions(16, 2)}),
+                            "another cache capacity"),
+            divergence);
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path}, .num_graphs = 3}),
+                            "another dataset size"),
+            divergence);
+  EXPECT_EQ(expect_rejected(snapshot_of({.records = {path}, .crc_flip = 1}),
+                            "another dataset fingerprint"),
+            divergence);
 }
 
 }  // namespace
